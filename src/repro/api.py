@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from . import obs, schema
@@ -325,11 +324,6 @@ class RouteResult:
         design: the routed design (unchanged by routing).
         route_report: the :class:`repro.router.RouteReport`.
         route_seconds: wall time of the routing call.
-
-    Attribute access that falls through to the underlying report
-    (``result.hof``, ``result.summary()``, …) still works as a
-    deprecation shim for callers written against the old bare-report
-    return shape of :func:`route`, with a :class:`DeprecationWarning`.
     """
 
     design: Design
@@ -344,18 +338,6 @@ class RouteResult:
             "route_seconds": float(self.route_seconds),
             "route": _route_report_summary(self.route_report),
         }
-
-    def __getattr__(self, name: str):
-        # Deprecation shim: ``route()`` used to return the bare report.
-        report = object.__getattribute__(self, "route_report")
-        value = getattr(report, name)
-        warnings.warn(
-            f"accessing {name!r} on RouteResult is deprecated; use "
-            f"RouteResult.route_report.{name}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return value
 
 
 def run(
@@ -471,9 +453,8 @@ def route(design: Design, config: RunConfig | None = None, *, trace=None) -> Rou
     """Route an already-placed design.
 
     Returns:
-        A typed :class:`RouteResult`.  (Older callers that treated the
-        return value as the bare :class:`repro.router.RouteReport` keep
-        working through a deprecation shim.)
+        A typed :class:`RouteResult`; the
+        :class:`repro.router.RouteReport` is its ``route_report``.
     """
     config = config or RunConfig()
     with obs.tracing(trace):
@@ -530,8 +511,6 @@ def suite(
         )
 
 
-#: Sentinel distinguishing "``rng`` not passed" from any real seed value.
-_UNSET = object()
 
 #: Transfer-prior modes an :class:`ExploreConfig` accepts.
 PRIOR_MODES = ("auto", "off")
@@ -808,7 +787,6 @@ def explore(
     scale: float = 0.008,
     budget: int = 12,
     seed: int = 7,
-    rng=_UNSET,
     trace=None,
     batch_size: int = 1,
     evaluator=None,
@@ -821,8 +799,7 @@ def explore(
         scale: benchmark-generation scale.
         budget: global-stage evaluation budget (group stages derive
             their budget and patience from it, as the CLI always has).
-        seed: RNG seed (named like :attr:`RunConfig.seed`; the old
-            ``rng=`` keyword still works with a ``DeprecationWarning``).
+        seed: RNG seed (named like :attr:`RunConfig.seed`).
         trace: observability target (path or tracer).
         batch_size: TPE candidates per round.
         evaluator: optional parallel batch evaluator.
@@ -839,13 +816,6 @@ def explore(
         strategy_exploration,
     )
 
-    if rng is not _UNSET:
-        warnings.warn(
-            "explore(rng=...) is deprecated; use seed= (like RunConfig.seed)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        seed = rng
     if config is None:
         config = ExploreConfig(
             design=design,

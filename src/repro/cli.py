@@ -38,6 +38,7 @@ which ``repro report`` renders as a per-stage breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream the job's progress events until it "
                         "finishes, then print the result")
     submit.add_argument("--wait", action="store_true",
-                        help="poll until the job finishes and print the result")
+                        help="wait until the job finishes and print the result")
     submit.add_argument("--wait-timeout", type=float, default=None,
                         help="give up polling after this many seconds")
     _add_server_args(submit)
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     eco_open.add_argument("--verify", default="cheap",
                           choices=["off", "cheap", "full"])
     eco_open.add_argument("--wait", action="store_true",
-                          help="poll until the cold start finishes")
+                          help="wait until the cold start finishes")
     eco_open.add_argument("--wait-timeout", type=float, default=None)
     _add_server_args(eco_open)
 
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read the delta wire dict from a JSON file",
     )
     eco_delta.add_argument("--wait", action="store_true",
-                           help="poll until the delta finishes")
+                           help="wait until the delta finishes")
     eco_delta.add_argument("--wait-timeout", type=float, default=None)
     _add_server_args(eco_delta)
 
@@ -428,6 +429,24 @@ def cmd_route(args) -> int:
     return 0
 
 
+def _remote(command):
+    """A server-client command: called with an HTTP client for the
+    ``--host``/``--port`` flags; service errors, rejected payloads and
+    timeouts print ``error: ...`` and exit 1."""
+
+    @functools.wraps(command)
+    def run(args, *rest) -> int:
+        from .serve import HttpServiceClient, ServeError
+
+        try:
+            return command(HttpServiceClient(args.host, args.port), args, *rest)
+        except (ServeError, ValueError, TimeoutError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    return run
+
+
 def _format_trial(trial) -> str:
     """One ``repro explore --follow`` line per completed trial."""
     flags = []
@@ -447,26 +466,18 @@ def _print_exploration_params(params: dict, out: str | None) -> None:
             json.dump(values, f, indent=2)
 
 
-def _explore_remote(args, config) -> int:
+@_remote
+def _explore_remote(client, args, config) -> int:
     """``repro explore --server``: drive ``/v1/explorations`` remotely."""
-    from .serve import HttpServiceClient, ServeError
-
-    client = HttpServiceClient(args.host, args.port)
-    try:
-        exploration = client.create_exploration(config)
-    except (ServeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    exploration = client.create_exploration(config)
     print(f"{exploration['id']} {exploration['state']}")
     if args.follow:
-        for event in client.follow_exploration(exploration["id"]):
+        for event in client.follow(exploration["id"], kind="exploration"):
             if event.kind == "trial":
                 print(_format_trial(event.trial), flush=True)
             else:
                 print(f"state {event.state}", flush=True)
-        exploration = client.exploration(exploration["id"])
-    else:
-        exploration = client.wait_exploration(exploration["id"])
+    exploration = client.wait(exploration["id"], kind="exploration")
     if exploration["state"] != "done":
         print(f"error: {exploration.get('error') or exploration['state']}",
               file=sys.stderr)
@@ -695,8 +706,9 @@ def _format_event(event) -> str:
     return f"{line} {metrics}" if metrics else line
 
 
-def cmd_submit(args) -> int:
-    from .serve import HttpServiceClient, QueueFullError
+@_remote
+def cmd_submit(client, args) -> int:
+    from .serve import QueueFullError
 
     config = api.RunConfig(
         scale=args.scale,
@@ -704,7 +716,6 @@ def cmd_submit(args) -> int:
         placement=PlacementParams(max_iters=args.max_iters),
         mode=args.mode,
     )
-    client = HttpServiceClient(args.host, args.port)
     try:
         job = client.submit(
             args.design,
@@ -721,13 +732,10 @@ def cmd_submit(args) -> int:
     print(f"{job['id']} {job['state']}")
     if not (args.wait or args.follow):
         return 0
-    if job["state"] not in ("done", "failed", "cancelled"):
-        if args.follow:
-            for event in client.follow(job["id"], timeout=args.wait_timeout):
-                print(_format_event(event), flush=True)
-            job = client.status(job["id"])
-        else:
-            job = client.wait(job["id"], timeout=args.wait_timeout)
+    if args.follow:
+        for event in client.follow(job["id"], timeout=args.wait_timeout):
+            print(_format_event(event), flush=True)
+    job = client.wait(job["id"], timeout=args.wait_timeout)
     print(f"{job['id']} {job['state']}"
           + (" (cache hit)" if job["cache_hit"] else ""))
     if job["state"] == "done":
@@ -737,44 +745,27 @@ def cmd_submit(args) -> int:
     return 1
 
 
-def cmd_jobs(args) -> int:
-    from .serve import HttpServiceClient, ServeError
-
-    client = HttpServiceClient(args.host, args.port)
+@_remote
+def cmd_jobs(client, args) -> int:
     if args.cancel:
-        try:
-            job = client.cancel(args.cancel)
-        except ServeError as exc:  # unknown job / already terminal
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        job = client.cancel(args.cancel)
         print(f"{job['id']} {job['state']}")
-        return 0
-    if args.events:
-        try:
-            events = client.events(args.events)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    elif args.events:
+        events = client.events(args.events)
         for event in events:
             print(_format_event(event))
         if not events:
             print("no events")
-        return 0
-    if args.job:
-        try:
-            job = client.status(args.job)
-        except ServeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(json.dumps(job, indent=2))
-        return 0
-    jobs = client.jobs(args.state)
-    for job in jobs:
-        extra = " (cache hit)" if job["cache_hit"] else ""
-        print(f"{job['id']:10s} {job['state']:10s} "
-              f"{job['request']['design']} {job['request']['flow']}{extra}")
-    if not jobs:
-        print("no jobs")
+    elif args.job:
+        print(json.dumps(client.status(args.job), indent=2))
+    else:
+        jobs = client.list(args.state)
+        for job in jobs:
+            extra = " (cache hit)" if job["cache_hit"] else ""
+            print(f"{job['id']:10s} {job['state']:10s} "
+                  f"{job['request']['design']} {job['request']['flow']}{extra}")
+        if not jobs:
+            print("no jobs")
     return 0
 
 
@@ -844,16 +835,14 @@ def _eco_run(args) -> int:
     return 0 if ok else 1
 
 
-def _eco_open(args) -> int:
-    from .serve import HttpServiceClient
-
+@_remote
+def _eco_open(client, args) -> int:
     config = api.RunConfig(scale=args.scale, seed=args.seed)
-    client = HttpServiceClient(args.host, args.port)
     session = client.create_session(args.design, config=config, verify=args.verify)
     print(f"{session['id']} {session['state']}")
     if not args.wait:
         return 0
-    session = client.wait_session(session["id"], timeout=args.wait_timeout)
+    session = client.wait(session["id"], args.wait_timeout, kind="session")
     print(f"{session['id']} {session['state']}")
     if session["state"] != "ready":
         print(f"error: {session.get('error')}", file=sys.stderr)
@@ -862,10 +851,9 @@ def _eco_open(args) -> int:
     return 0
 
 
-def _eco_sessions(args) -> int:
-    from .serve import HttpServiceClient
-
-    sessions = HttpServiceClient(args.host, args.port).sessions()
+@_remote
+def _eco_sessions(client, args) -> int:
+    sessions = client.list(kind="session")
     for session in sessions:
         print(
             f"{session['id']:10s} {session['state']:12s} "
@@ -877,21 +865,14 @@ def _eco_sessions(args) -> int:
     return 0
 
 
-def _eco_show(args) -> int:
-    from .serve import HttpServiceClient, ServeError
-
-    try:
-        session = HttpServiceClient(args.host, args.port).session(args.session)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(session, indent=2))
+@_remote
+def _eco_show(client, args) -> int:
+    print(json.dumps(client.status(args.session, kind="session"), indent=2))
     return 0
 
 
-def _eco_delta(args) -> int:
-    from .serve import HttpServiceClient, ServeError
-
+@_remote
+def _eco_delta(client, args) -> int:
     if bool(args.payload) == bool(args.payload_file):
         print("error: provide exactly one of --json or --file", file=sys.stderr)
         return 1
@@ -900,26 +881,11 @@ def _eco_delta(args) -> int:
             payload = json.load(f)
     else:
         payload = json.loads(args.payload)
-    client = HttpServiceClient(args.host, args.port)
-    try:
-        record = client.submit_delta(args.session, payload)
-    except (ServeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    record = client.submit_delta(args.session, payload)
     print(f"{record['id']} {record['state']}")
     if not args.wait:
         return 0
-    import time
-
-    deadline = (None if args.wait_timeout is None
-                else time.monotonic() + args.wait_timeout)
-    while record["state"] in ("queued", "running"):
-        if deadline is not None and time.monotonic() >= deadline:
-            print(f"error: delta {record['id']} still {record['state']}",
-                  file=sys.stderr)
-            return 1
-        time.sleep(0.25)
-        record = client.delta(args.session, record["id"])
+    record = client.wait(record["id"], args.wait_timeout, kind="delta")
     print(f"{record['id']} {record['state']}")
     if record["state"] != "done":
         print(f"error: {record.get('error')}", file=sys.stderr)
@@ -928,14 +894,9 @@ def _eco_delta(args) -> int:
     return 0
 
 
-def _eco_close(args) -> int:
-    from .serve import HttpServiceClient, ServeError
-
-    try:
-        session = HttpServiceClient(args.host, args.port).close_session(args.session)
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+@_remote
+def _eco_close(client, args) -> int:
+    session = client.cancel(args.session, kind="session")
     print(f"{session['id']} {session['state']}")
     return 0
 

@@ -30,8 +30,16 @@ queue sheds strictly-lower-priority queued work for a higher-priority
 submission, otherwise rejects with a retry-after hint (HTTP 429) —
 scheduling is weighted round-robin across ``client_id`` buckets, and
 shutdown drains: accepted jobs finish, new submissions are refused.
-The pre-``/v1`` unversioned routes still answer through deprecation
-shims (``Deprecation: true`` + a successor-version ``Link``).
+
+Jobs, ECO sessions (and their deltas) and explorations share one
+lifecycle (:mod:`repro.serve.resources`): every kind is a
+:class:`Resource` with a declared transition table, owned by a
+:class:`ResourceManager` that allocates ids, publishes each transition
+on the kind's event stream, and raises the one error pair
+:class:`UnknownResourceError` (HTTP 404) / :class:`ResourceStateError`
+(HTTP 409).  The ``/v1`` routes and both clients' generic operations
+(``status``, ``list``, ``cancel``, ``events``, ``follow``, ``wait``)
+are derived from those managers; any other path is a plain 404.
 
 The service also hosts **stateful ECO sessions** (:mod:`repro.eco`):
 ``POST /v1/sessions`` converges a design once, ``POST
@@ -61,56 +69,42 @@ from .client import (
 )
 from .events import EventLog, ProgressWriter, read_new_progress
 from .exploration import (
-    EXPLORATION_STATES,
     DistributedEvaluator,
     Exploration,
     ExplorationCancelledError,
     ExplorationManager,
-    ExplorationStateError,
     LocalServiceHost,
-    UnknownExplorationError,
 )
 from .http import HttpServer
-from .jobs import (
+from .queueing import FairQueue
+from .resources import (
     CANCELLED,
     DONE,
     FAILED,
     QUEUED,
     RUNNING,
-    STATES,
-    TERMINAL,
-    Job,
-    JobStateError,
-    JobStore,
     QueueFullError,
+    Resource,
+    ResourceManager,
+    ResourceStateError,
     ServeError,
     ServiceClosedError,
-    UnknownJobError,
+    UnknownResourceError,
 )
-from .queueing import FairQueue
-from .service import PlacementService, ServiceConfig, execute_request
-from .sessions import (
-    SESSION_STATES,
-    DeltaJob,
-    Session,
-    SessionManager,
-    SessionStateError,
-    UnknownDeltaError,
-    UnknownSessionError,
-)
+from .service import Job, PlacementService, ServiceConfig, execute_request
+from .sessions import DeltaJob, Session, SessionManager
 from .shards import ProcessShard
 
 __all__ = [
     "BaseClient",
     "CANCELLED",
     "DONE",
+    "DeltaJob",
     "DistributedEvaluator",
-    "EXPLORATION_STATES",
     "EventLog",
     "Exploration",
     "ExplorationCancelledError",
     "ExplorationManager",
-    "ExplorationStateError",
     "FAILED",
     "FairQueue",
     "HttpServer",
@@ -119,9 +113,6 @@ __all__ = [
     "JobEvent",
     "JobFailedError",
     "JobProgress",
-    "JobStateError",
-    "JobStore",
-    "DeltaJob",
     "LocalServiceHost",
     "PlacementService",
     "ProcessShard",
@@ -129,20 +120,16 @@ __all__ = [
     "QUEUED",
     "QueueFullError",
     "RUNNING",
-    "SESSION_STATES",
-    "STATES",
+    "Resource",
+    "ResourceManager",
+    "ResourceStateError",
     "ServeError",
     "ServiceClient",
     "ServiceClosedError",
     "ServiceConfig",
     "Session",
     "SessionManager",
-    "SessionStateError",
-    "TERMINAL",
-    "UnknownDeltaError",
-    "UnknownExplorationError",
-    "UnknownJobError",
-    "UnknownSessionError",
+    "UnknownResourceError",
     "execute_request",
     "make_exploration_request",
     "make_request",

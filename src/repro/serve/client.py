@@ -5,57 +5,81 @@ names, same typed errors, same request surface — so tests, the CLI, and
 the exploration loop are written once against the protocol and work
 in-process or over the wire:
 
-* :class:`ServiceClient` — in-process, async: wraps a running
-  :class:`~repro.serve.service.PlacementService` directly (no sockets).
+* :class:`ServiceClient` — in-process, async: drives the service's
+  resource managers directly (``service.managers[kind]``, no sockets).
   This is what tests and the strategy-exploration loop use — the
   service becomes a callable evaluation backend.
 * :class:`HttpServiceClient` — synchronous, over :mod:`http.client`
   against the ``/v1`` HTTP API: what ``repro submit`` / ``repro jobs``
   use to talk to a ``repro serve`` process.  Raises the same typed
   errors as the service (:class:`QueueFullError` on 429 with the
-  server's retry-after, …) so callers handle backpressure identically
-  in and out of process.
+  server's retry-after, :class:`UnknownResourceError` with the right
+  ``kind`` on 404, …) so callers handle them identically in and out of
+  process.
 
-Beyond submit/poll, both speak the event stream: ``events`` reads a
-job's ordered :class:`repro.schema.JobEvent` slice, ``follow`` iterates
-events live until the job's terminal state event (the HTTP client
-long-polls ``GET /v1/jobs/<id>/events``), and ``run(progress=...)``
-invokes a callback per event while waiting.
+The generic operations — ``status``, ``list``, ``cancel`` (close, for
+sessions), ``events``, ``follow`` and ``wait`` — take a resource
+``kind`` (``"job"`` by default; ``"session"``, ``"delta"``,
+``"exploration"``) and are written once per transport.  ``follow``
+iterates a resource's :class:`repro.schema.JobEvent` stream live until
+its terminal state event, and ``wait`` rides the same stream until the
+resource leaves its pending states (the HTTP client long-polls
+``GET /v1/<kind>/<id>/events``).  Per-kind spellings such as
+``wait_session`` or ``exploration_events`` are aliases of them.
 """
 
 from __future__ import annotations
 
-import abc
 import http.client
 import json
 import time
 
 from ..schema import JobEvent
-from .jobs import (
+from .resources import (
     DONE,
-    TERMINAL,
-    JobStateError,
+    KINDS,
     QueueFullError,
+    ResourceStateError,
     ServeError,
     ServiceClosedError,
-    UnknownJobError,
+    UnknownResourceError,
 )
+
+#: Longest single events long-poll a client asks for, seconds.
+_POLL = 10.0
 
 
 class JobFailedError(ServeError):
-    """A waited-on job reached ``failed`` or ``cancelled``.
+    """A waited-on job (or delta) reached ``failed`` or ``cancelled``.
 
     Attributes:
-        job: the terminal job (a :class:`~repro.serve.jobs.Job` for the
-            in-process client, a wire dict for the HTTP client).
+        job: the terminal resource (an object for the in-process client,
+            a wire dict for the HTTP client).
     """
 
     def __init__(self, job) -> None:
         self.job = job
-        state = job.state if hasattr(job, "state") else job["state"]
-        error = job.error if hasattr(job, "error") else job.get("error")
-        job_id = job.id if hasattr(job, "id") else job["id"]
-        super().__init__(f"job {job_id} {state}: {error or 'no result'}")
+        wire = as_wire(job)
+        super().__init__(
+            f"job {wire['id']} {wire['state']}: {wire.get('error') or 'no result'}"
+        )
+
+
+def _wire(value):
+    """A dataclass payload's wire dict (``to_dict``), or ``value`` as is."""
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def as_wire(resource) -> dict:
+    """A resource's status dict: in-process clients return the resource
+    itself, the HTTP client its wire dict already."""
+    return resource if isinstance(resource, dict) else resource.to_wire()
+
+
+def _compact(**fields) -> dict:
+    """A wire request of the fields that are set (``None`` = server
+    default); dataclass values are serialized via ``to_dict``."""
+    return {name: _wire(value) for name, value in fields.items() if value is not None}
 
 
 def make_request(design: str, *, flow: str = "puffer", config=None,
@@ -68,20 +92,9 @@ def make_request(design: str, *, flow: str = "puffer", config=None,
     ``priority`` and ``client_id`` are scheduling hints (fair-queue
     bucket and shed order) and never affect the memoization key.
     """
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    request: dict = {"design": design, "flow": flow}
-    if config is not None:
-        request["config"] = config
-    if route:
-        request["route"] = True
-    if timeout is not None:
-        request["timeout"] = timeout
-    if priority:
-        request["priority"] = int(priority)
-    if client_id is not None:
-        request["client_id"] = client_id
-    return request
+    return _compact(design=design, flow=flow, config=config,
+                    route=True if route else None, timeout=timeout,
+                    priority=int(priority) or None, client_id=client_id)
 
 
 def make_session_request(design: str, *, config=None, eco=None,
@@ -89,18 +102,7 @@ def make_session_request(design: str, *, config=None, eco=None,
     """Build the JSON-safe wire request both clients POST to
     ``/v1/sessions``.  ``config``/``eco`` may be dataclasses
     (serialized via ``to_dict``) or already-serialized wire dicts."""
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    if eco is not None and hasattr(eco, "to_dict"):
-        eco = eco.to_dict()
-    request: dict = {"design": design}
-    if config is not None:
-        request["config"] = config
-    if eco is not None:
-        request["eco"] = eco
-    if verify is not None:
-        request["verify"] = verify
-    return request
+    return _compact(design=design, config=config, eco=eco, verify=verify)
 
 
 def make_exploration_request(config=None, *, priority: int = 0,
@@ -111,73 +113,87 @@ def make_exploration_request(config=None, *, priority: int = 0,
     already-serialized wire dict, or ``None`` (server defaults);
     ``priority``/``client_id`` schedule the exploration's trial jobs.
     """
-    if config is not None and hasattr(config, "to_dict"):
-        config = config.to_dict()
-    request: dict = {}
-    if config is not None:
-        request["config"] = config
-    if priority:
-        request["priority"] = int(priority)
-    if client_id is not None:
-        request["client_id"] = client_id
-    return request
+    return _compact(config=config, priority=int(priority) or None,
+                    client_id=client_id)
 
 
-def _is_stream_end(event: JobEvent) -> bool:
-    return event.kind == "state" and event.state in TERMINAL
+def _poll_budget(deadline: float | None, what: str) -> float:
+    """Seconds the next events long-poll may hold before ``deadline``
+    (a ``time.monotonic`` instant, ``None`` = unbounded)."""
+    if deadline is None:
+        return _POLL
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError(f"{what} event stream still open")
+    return min(_POLL, remaining)
 
 
-class BaseClient(abc.ABC):
+def _ends(event: JobEvent, states) -> bool:
+    return event.kind == "state" and event.state in states
+
+
+def _settled(kind: str) -> frozenset:
+    """The states ``wait`` returns at for ``kind``."""
+    resource = KINDS[kind]
+    return frozenset(resource.STATES) - resource.PENDING
+
+
+def _alias(op: str, kind: str):
+    """A per-kind spelling of the generic operation ``op``."""
+
+    def method(self, *args, **kwargs):
+        return getattr(self, op)(*args, kind=kind, **kwargs)
+
+    method.__doc__ = f"``{op}(..., kind={kind!r})``."
+    return method
+
+
+class BaseClient:
     """The client protocol both transports implement.
 
-    Method semantics (argument names included) are part of the
-    contract; in-process implementations may be ``async`` where the
-    HTTP client blocks, but names, payload shapes
-    (:class:`~repro.serve.jobs.Job` wire dicts,
-    :class:`repro.schema.JobEvent`), and raised error types match.
+    Each transport supplies the generic operations — ``create(kind,
+    request, parent=None)``, ``status(id, kind=)``, ``list(state,
+    kind=)``, ``cancel(id, kind=)`` (closes a session), ``events(id,
+    after, kind=)``, ``follow(id, after=, timeout=, kind=)``, ``wait(id,
+    timeout, kind=)`` — plus the composed ``run`` (submit + wait + the
+    result, or :class:`JobFailedError`), ``apply_delta``,
+    ``exploration_report``, ``healthz`` and ``metrics``.  Names and
+    arguments, payload shapes (resource wire dicts,
+    :class:`repro.schema.JobEvent`), and raised error types match; the
+    in-process client is ``async`` where the HTTP client blocks.  This
+    base derives every per-kind creation and spelling from them.
     """
 
-    @abc.abstractmethod
-    def submit(self, design: str, *, flow: str = "puffer", config=None,
-               route: bool = False, timeout: float | None = None,
-               priority: int = 0, client_id: str | None = None):
+    # -- creation, one builder per kind --------------------------------
+
+    def submit(self, design: str, **kwargs):
         """Submit one placement; returns the created job."""
+        return self.create("job", make_request(design, **kwargs))
 
-    @abc.abstractmethod
-    def status(self, job_id: str):
-        """The job's current status."""
+    def create_session(self, design: str, **kwargs):
+        """Open an incremental session (``initializing``)."""
+        return self.create("session", make_session_request(design, **kwargs))
 
-    @abc.abstractmethod
-    def cancel(self, job_id: str):
-        """Cancel a queued or running job."""
+    def submit_delta(self, session_id: str, delta):
+        """Queue one delta (typed or wire dict) against a session."""
+        return self.create("delta", _wire(delta), parent=session_id)
 
-    @abc.abstractmethod
-    def wait(self, job_id: str, timeout: float | None = None):
-        """Block/await until the job is terminal; returns it."""
+    def create_exploration(self, config=None, **kwargs):
+        """Start an exploration (``running``)."""
+        return self.create("exploration", make_exploration_request(config, **kwargs))
 
-    @abc.abstractmethod
-    def run(self, design: str, *, wait_timeout: float | None = None,
-            progress=None, **kwargs):
-        """Submit + wait + return the result summary (or raise
-        :class:`JobFailedError`); ``progress`` is called with every
-        :class:`~repro.schema.JobEvent` observed while waiting."""
+    # -- per-kind spellings of the generic operations ------------------
 
-    @abc.abstractmethod
-    def events(self, job_id: str, after: int = -1):
-        """The job's ordered events with ``seq > after``."""
-
-    @abc.abstractmethod
-    def follow(self, job_id: str, *, after: int = -1,
-               timeout: float | None = None):
-        """Iterate events live, ending after the terminal state event."""
-
-    @abc.abstractmethod
-    def healthz(self) -> dict:
-        """Liveness payload."""
-
-    @abc.abstractmethod
-    def metrics(self) -> dict:
-        """Counters + instruments payload."""
+    jobs = _alias("list", "job")
+    sessions = _alias("list", "session")
+    session = _alias("status", "session")
+    close_session = _alias("cancel", "session")
+    wait_session = _alias("wait", "session")
+    explorations = _alias("list", "exploration")
+    exploration = _alias("status", "exploration")
+    cancel_exploration = _alias("cancel", "exploration")
+    wait_exploration = _alias("wait", "exploration")
+    exploration_events = _alias("events", "exploration")
 
 
 class ServiceClient(BaseClient):
@@ -186,13 +202,43 @@ class ServiceClient(BaseClient):
     def __init__(self, service) -> None:
         self.service = service
 
-    async def submit(self, design: str, **kwargs):
-        """Submit and return the :class:`~repro.serve.jobs.Job`."""
-        return self.service.submit(make_request(design, **kwargs))
+    async def create(self, kind: str, request: dict, parent: str | None = None):
+        """Create through the kind's manager (async, so ``submit`` and the
+        other builders are awaited like every in-process operation)."""
+        scope = () if parent is None else (parent,)
+        return self.service.managers[kind].create(request, *scope)
 
-    async def wait(self, job_id: str, timeout: float | None = None):
-        """Await the job's terminal state and return it."""
-        return await self.service.wait(job_id, timeout=timeout)
+    def status(self, resource_id: str, *, kind: str = "job"):
+        return self.service.managers[kind].get(resource_id)
+
+    def list(self, state: str | None = None, *, kind: str = "job") -> list:
+        return self.service.managers[kind].list(state)
+
+    def cancel(self, resource_id: str, *, kind: str = "job"):
+        return self.service.managers[kind].delete(resource_id)
+
+    def events(self, resource_id: str, after: int = -1, *,
+               kind: str = "job") -> list:
+        return self.service.managers[kind].events(resource_id, after)
+
+    async def follow(self, resource_id: str, *, after: int = -1,
+                     timeout: float | None = None, kind: str = "job"):
+        """Async-iterate the resource's events until its terminal event."""
+        manager = self.service.managers[kind]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            poll = _poll_budget(deadline, f"{kind} {resource_id}")
+            batch, _done = await manager.wait_events(resource_id, after, poll)
+            for event in batch:
+                yield event
+                if _ends(event, manager.resource.TERMINAL):
+                    return
+            if batch:
+                after = batch[-1].seq
+
+    async def wait(self, resource_id: str, timeout: float | None = None, *,
+                   kind: str = "job"):
+        return await self.service.managers[kind].wait(resource_id, timeout)
 
     async def run(self, design: str, *, wait_timeout: float | None = None,
                   progress=None, **kwargs) -> dict:
@@ -209,143 +255,27 @@ class ServiceClient(BaseClient):
         if progress is not None:
             async for event in self.follow(job.id, timeout=wait_timeout):
                 progress(event)
-            job = self.status(job.id)
-        else:
-            job = await self.wait(job.id, timeout=wait_timeout)
+        job = await self.wait(job.id, timeout=wait_timeout)
         if job.state != DONE:
             raise JobFailedError(job)
         return job.result
 
-    def status(self, job_id: str):
-        return self.service.status(job_id)
+    async def apply_delta(self, session_id: str, delta,
+                          wait_timeout: float | None = None) -> dict:
+        record = await self.submit_delta(session_id, delta)
+        record = await self.wait(record.id, wait_timeout, kind="delta")
+        if record.state != DONE:
+            raise JobFailedError(record)
+        return record.result
 
-    def cancel(self, job_id: str):
-        return self.service.cancel(job_id)
-
-    def events(self, job_id: str, after: int = -1) -> list:
-        return self.service.events(job_id, after=after)
-
-    async def follow(self, job_id: str, *, after: int = -1,
-                     timeout: float | None = None):
-        """Async-iterate the job's events until its terminal event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = 10.0
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(f"job {job_id} event stream still open")
-            batch, _done = await self.service.wait_events(
-                job_id, after=after, timeout=poll
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
+    def exploration_report(self, exploration_id: str) -> dict:
+        return self.service.explorations.report(exploration_id)
 
     def healthz(self) -> dict:
         return self.service.healthz()
 
     def metrics(self) -> dict:
         return self.service.metrics()
-
-    # -- ECO sessions --------------------------------------------------
-
-    def create_session(self, design: str, *, config=None, eco=None,
-                       verify: str | None = None):
-        """Open an incremental session; returns the live ``Session``."""
-        return self.service.sessions.create(
-            make_session_request(design, config=config, eco=eco, verify=verify)
-        )
-
-    async def wait_session(self, session_id: str, timeout: float | None = None):
-        """Await the cold start (ready or failed) and return the session."""
-        return await self.service.sessions.wait_ready(session_id, timeout=timeout)
-
-    def submit_delta(self, session_id: str, delta):
-        """Queue one delta (typed or wire dict) against a session."""
-        if hasattr(delta, "to_dict"):
-            delta = delta.to_dict()
-        return self.service.sessions.submit_delta(session_id, delta)
-
-    async def apply_delta(self, session_id: str, delta,
-                          timeout: float | None = None) -> dict:
-        """Submit a delta, await it, and return its result summary.
-
-        Raises:
-            JobFailedError: the delta failed.
-        """
-        record = self.submit_delta(session_id, delta)
-        record = await self.service.sessions.wait_delta(
-            session_id, record.id, timeout=timeout
-        )
-        if record.state != DONE:
-            raise JobFailedError(record)
-        return record.result
-
-    def close_session(self, session_id: str):
-        return self.service.sessions.close(session_id)
-
-    # -- strategy explorations -----------------------------------------
-
-    def create_exploration(self, config=None, *, priority: int = 0,
-                           client_id: str | None = None):
-        """Start an exploration; returns the live ``Exploration``."""
-        return self.service.explorations.create(
-            make_exploration_request(
-                config, priority=priority, client_id=client_id
-            )
-        )
-
-    def exploration(self, exploration_id: str):
-        return self.service.explorations.get(exploration_id)
-
-    def explorations(self, state: str | None = None) -> list:
-        return self.service.explorations.explorations(state)
-
-    def cancel_exploration(self, exploration_id: str):
-        return self.service.explorations.cancel(exploration_id)
-
-    async def wait_exploration(self, exploration_id: str,
-                               timeout: float | None = None):
-        """Await the exploration's terminal state and return it."""
-        return await self.service.explorations.wait(
-            exploration_id, timeout=timeout
-        )
-
-    def exploration_events(self, exploration_id: str, after: int = -1) -> list:
-        return self.service.explorations.events(exploration_id, after=after)
-
-    async def follow_exploration(self, exploration_id: str, *,
-                                 after: int = -1,
-                                 timeout: float | None = None):
-        """Async-iterate trial/state events until the terminal event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = 10.0
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(
-                        f"exploration {exploration_id} event stream still open"
-                    )
-            batch, _done = await self.service.explorations.wait_events(
-                exploration_id, after=after, timeout=poll
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
-
-    def exploration_report(self, exploration_id: str) -> dict:
-        """The finished exploration's wire report (raises
-        :class:`~repro.serve.exploration.ExplorationStateError` until
-        ``done``)."""
-        return self.service.explorations.report(exploration_id)
 
 
 class HttpServiceClient(BaseClient):
@@ -364,6 +294,20 @@ class HttpServiceClient(BaseClient):
         self.timeout = timeout
 
     # -- transport -----------------------------------------------------
+
+    @staticmethod
+    def _url(kind: str, resource_id: str | None = None,
+             parent: str | None = None) -> str:
+        """The ``/v1`` path of a collection or one resource.
+
+        A delta lives under its session; its id (``<session>-dN``)
+        names that session when ``parent`` is not given.
+        """
+        path = KINDS[kind].path
+        if kind == "delta":
+            parent = parent or resource_id.rpartition("-d")[0]
+            path = f"sessions/{parent}/{path}"
+        return f"/v1/{path}" + ("" if resource_id is None else f"/{resource_id}")
 
     def _request(self, method: str, path: str, payload: dict | None = None,
                  timeout: float | None = None) -> dict:
@@ -384,242 +328,118 @@ class HttpServiceClient(BaseClient):
             conn.close()
         if status < 400:
             return data
-        self._raise(status, data.get("error", f"HTTP {status}"), retry_after)
-
-    def _raise(self, status: int, message: str, retry_after) -> None:
+        message = data.get("error", f"HTTP {status}")
         if status == 429:
             # Capacity isn't on the wire; keep the server's message.
-            raise QueueFullError(capacity=-1,
-                                 retry_after=float(retry_after or 1.0),
+            raise QueueFullError(capacity=-1, retry_after=float(retry_after or 1.0),
                                  message=message)
-        if status == 404:
-            raise UnknownJobError("<remote>", message=message)
-        if status == 409:
-            raise JobStateError(message)
+        if status in (404, 409):
+            kind, resource_id = self._addressed(path)
+            if status == 404:
+                raise UnknownResourceError(kind, resource_id, message=message)
+            raise ResourceStateError(kind, message)
         if status == 503:
             raise ServiceClosedError(message)
         if status == 400:
             raise ValueError(message)
         raise ServeError(f"HTTP {status}: {message}")
 
-    # -- operations ----------------------------------------------------
+    @staticmethod
+    def _addressed(path: str) -> tuple:
+        """``(kind, id)`` of the innermost resource a ``/v1`` path names
+        (``/v1/sessions/<sid>/deltas`` names the session)."""
+        parts = [part for part in path.partition("?")[0].split("/") if part][1:]
+        kinds = {resource.path: kind for kind, resource in KINDS.items()}
+        found = ("resource", "")
+        for collection, resource_id in zip(parts[::2], parts[1::2]):
+            if collection in kinds:
+                found = (kinds[collection], resource_id)
+        return found
 
-    def submit(self, design: str, **kwargs) -> dict:
-        """POST the job; returns its wire dict (``state`` = ``queued``
-        or already ``done`` on a cache hit)."""
-        return self._request("POST", "/v1/jobs", make_request(design, **kwargs))
+    # -- the generic operations ----------------------------------------
 
-    def status(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def create(self, kind: str, request: dict, parent: str | None = None) -> dict:
+        return self._request("POST", self._url(kind, parent=parent), request)
 
-    def jobs(self, state: str | None = None) -> list:
-        path = "/v1/jobs" if state is None else f"/v1/jobs?state={state}"
-        return self._request("GET", path)["jobs"]
+    def status(self, resource_id: str, *, kind: str = "job") -> dict:
+        return self._request("GET", self._url(kind, resource_id))
 
-    def cancel(self, job_id: str) -> dict:
-        return self._request("DELETE", f"/v1/jobs/{job_id}")
+    def list(self, state: str | None = None, *, kind: str = "job") -> list:
+        query = "" if state is None else f"?state={state}"
+        return self._request("GET", self._url(kind) + query)[KINDS[kind].path]
+
+    def cancel(self, resource_id: str, *, kind: str = "job") -> dict:
+        return self._request("DELETE", self._url(kind, resource_id))
+
+    def events(self, resource_id: str, after: int = -1, *, kind: str = "job",
+               wait: float | None = None) -> list:
+        """GET the resource's events past ``after`` as typed
+        :class:`~repro.schema.JobEvent`; ``wait`` long-polls up to that
+        many seconds for the first new event."""
+        path = f"{self._url(kind, resource_id)}/events?after={after}"
+        timeout = None
+        if wait:
+            path += f"&wait={wait:g}"
+            timeout = self.timeout + wait
+        payload = self._request("GET", path, timeout=timeout)
+        return [JobEvent.from_dict(event) for event in payload["events"]]
+
+    def _stream(self, resource_id: str, kind: str, after: int,
+                timeout: float | None, until):
+        """Long-poll events past ``after`` until a state event in
+        ``until``; raises ``TimeoutError`` past ``timeout``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            poll = _poll_budget(deadline, f"{kind} {resource_id}")
+            batch = self.events(resource_id, after, kind=kind, wait=max(poll, 0.05))
+            for event in batch:
+                yield event
+                if _ends(event, until):
+                    return
+            if batch:
+                after = batch[-1].seq
+
+    def follow(self, resource_id: str, *, after: int = -1,
+               timeout: float | None = None, kind: str = "job"):
+        """Yield the resource's events live until its terminal state event."""
+        return self._stream(resource_id, kind, after, timeout, KINDS[kind].TERMINAL)
+
+    def wait(self, resource_id: str, timeout: float | None = None, *,
+             kind: str = "job") -> dict:
+        """Ride the event stream until the resource settles; returns its
+        wire dict."""
+        for _event in self._stream(resource_id, kind, -1, timeout, _settled(kind)):
+            pass
+        return self.status(resource_id, kind=kind)
+
+    # -- composed operations -------------------------------------------
+
+    def run(self, design: str, *, wait_timeout: float | None = None,
+            progress=None, **kwargs) -> dict:
+        """Submit, wait to completion, and return the result summary;
+        ``progress`` is called with every event seen while waiting."""
+        job = self.submit(design, **kwargs)
+        for event in self.follow(job["id"], timeout=wait_timeout):
+            if progress is not None:
+                progress(event)
+        job = self.status(job["id"])
+        if job["state"] != DONE:
+            raise JobFailedError(job)
+        return job["result"]
+
+    def apply_delta(self, session_id: str, delta,
+                    wait_timeout: float | None = None) -> dict:
+        record = self.submit_delta(session_id, delta)
+        record = self.wait(record["id"], wait_timeout, kind="delta")
+        if record["state"] != DONE:
+            raise JobFailedError(record)
+        return record["result"]
+
+    def exploration_report(self, exploration_id: str) -> dict:
+        return self._request("GET", f"{self._url('exploration', exploration_id)}/report")
 
     def healthz(self) -> dict:
         return self._request("GET", "/v1/healthz")
 
     def metrics(self) -> dict:
         return self._request("GET", "/v1/metrics")
-
-    def events(self, job_id: str, after: int = -1,
-               wait: float | None = None) -> list:
-        """GET the job's events past ``after`` as typed
-        :class:`~repro.schema.JobEvent`; ``wait`` long-polls up to that
-        many seconds for the first new event."""
-        path = f"/v1/jobs/{job_id}/events?after={after}"
-        timeout = None
-        if wait:
-            path += f"&wait={wait:g}"
-            timeout = self.timeout + wait
-        payload = self._request("GET", path, timeout=timeout)
-        return [JobEvent.from_dict(event) for event in payload["events"]]
-
-    def follow(self, job_id: str, *, after: int = -1,
-               timeout: float | None = None, wait: float = 10.0):
-        """Yield the job's events live (long-polling) until its
-        terminal state event; raises ``TimeoutError`` past ``timeout``."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = wait
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(f"job {job_id} event stream still open")
-            batch = self.events(job_id, after=after, wait=max(poll, 0.05))
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
-
-    def wait(self, job_id: str, timeout: float | None = None,
-             poll: float = 0.25) -> dict:
-        """Poll until the job is terminal; returns its wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.status(job_id)
-            if job["state"] in ("done", "failed", "cancelled"):
-                return job
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id} still {job['state']}")
-            time.sleep(poll)
-
-    def run(self, design: str, *, wait_timeout: float | None = None,
-            poll: float = 0.25, progress=None, **kwargs) -> dict:
-        """Submit, wait to completion, and return the result summary.
-
-        With ``progress`` the wait rides the event stream (one callback
-        per :class:`~repro.schema.JobEvent`) instead of status polling.
-        """
-        job = self.submit(design, **kwargs)
-        if job["state"] != DONE:
-            if progress is not None:
-                for event in self.follow(job["id"], timeout=wait_timeout):
-                    progress(event)
-                job = self.status(job["id"])
-            else:
-                job = self.wait(job["id"], timeout=wait_timeout, poll=poll)
-        if job["state"] != DONE:
-            raise JobFailedError(job)
-        return job["result"]
-
-    # -- ECO sessions --------------------------------------------------
-
-    def create_session(self, design: str, *, config=None, eco=None,
-                       verify: str | None = None) -> dict:
-        """POST the session; returns its wire dict (``initializing``)."""
-        return self._request(
-            "POST", "/v1/sessions",
-            make_session_request(design, config=config, eco=eco, verify=verify),
-        )
-
-    def session(self, session_id: str) -> dict:
-        return self._request("GET", f"/v1/sessions/{session_id}")
-
-    def sessions(self) -> list:
-        return self._request("GET", "/v1/sessions")["sessions"]
-
-    def close_session(self, session_id: str) -> dict:
-        return self._request("DELETE", f"/v1/sessions/{session_id}")
-
-    def wait_session(self, session_id: str, timeout: float | None = None,
-                     poll: float = 0.25) -> dict:
-        """Poll until the cold start finishes; returns the wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            session = self.session(session_id)
-            if session["state"] != "initializing":
-                return session
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"session {session_id} still initializing")
-            time.sleep(poll)
-
-    def submit_delta(self, session_id: str, delta) -> dict:
-        """POST one delta (typed or wire dict); returns its wire dict."""
-        if hasattr(delta, "to_dict"):
-            delta = delta.to_dict()
-        return self._request("POST", f"/v1/sessions/{session_id}/deltas", delta)
-
-    def delta(self, session_id: str, delta_id: str) -> dict:
-        return self._request("GET", f"/v1/sessions/{session_id}/deltas/{delta_id}")
-
-    def apply_delta(self, session_id: str, delta,
-                    wait_timeout: float | None = None,
-                    poll: float = 0.25) -> dict:
-        """Submit a delta, poll to completion, return its result summary."""
-        record = self.submit_delta(session_id, delta)
-        deadline = None if wait_timeout is None else time.monotonic() + wait_timeout
-        while record["state"] in ("queued", "running"):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(f"delta {record['id']} still {record['state']}")
-            time.sleep(poll)
-            record = self.delta(session_id, record["id"])
-        if record["state"] != DONE:
-            raise JobFailedError(record)
-        return record["result"]
-
-    # -- strategy explorations -----------------------------------------
-
-    def create_exploration(self, config=None, *, priority: int = 0,
-                           client_id: str | None = None) -> dict:
-        """POST the exploration; returns its wire dict (``running``)."""
-        return self._request(
-            "POST", "/v1/explorations",
-            make_exploration_request(
-                config, priority=priority, client_id=client_id
-            ),
-        )
-
-    def exploration(self, exploration_id: str) -> dict:
-        return self._request("GET", f"/v1/explorations/{exploration_id}")
-
-    def explorations(self, state: str | None = None) -> list:
-        path = (
-            "/v1/explorations" if state is None
-            else f"/v1/explorations?state={state}"
-        )
-        return self._request("GET", path)["explorations"]
-
-    def cancel_exploration(self, exploration_id: str) -> dict:
-        return self._request("DELETE", f"/v1/explorations/{exploration_id}")
-
-    def wait_exploration(self, exploration_id: str,
-                         timeout: float | None = None,
-                         poll: float = 0.25) -> dict:
-        """Poll until the exploration is terminal; returns its wire dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            exploration = self.exploration(exploration_id)
-            if exploration["state"] in ("done", "failed", "cancelled"):
-                return exploration
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"exploration {exploration_id} still {exploration['state']}"
-                )
-            time.sleep(poll)
-
-    def exploration_events(self, exploration_id: str, after: int = -1,
-                           wait: float | None = None) -> list:
-        """GET the exploration's events past ``after`` as typed
-        :class:`~repro.schema.JobEvent`; ``wait`` long-polls."""
-        path = f"/v1/explorations/{exploration_id}/events?after={after}"
-        timeout = None
-        if wait:
-            path += f"&wait={wait:g}"
-            timeout = self.timeout + wait
-        payload = self._request("GET", path, timeout=timeout)
-        return [JobEvent.from_dict(event) for event in payload["events"]]
-
-    def follow_exploration(self, exploration_id: str, *, after: int = -1,
-                           timeout: float | None = None, wait: float = 10.0):
-        """Yield trial/state events live (long-polling) until the
-        exploration's terminal state event."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            poll = wait
-            if deadline is not None:
-                poll = min(poll, deadline - time.monotonic())
-                if poll <= 0:
-                    raise TimeoutError(
-                        f"exploration {exploration_id} event stream still open"
-                    )
-            batch = self.exploration_events(
-                exploration_id, after=after, wait=max(poll, 0.05)
-            )
-            for event in batch:
-                yield event
-                if _is_stream_end(event):
-                    return
-            if batch:
-                after = batch[-1].seq
-
-    def exploration_report(self, exploration_id: str) -> dict:
-        """GET the finished report (409/``JobStateError`` until done)."""
-        return self._request(
-            "GET", f"/v1/explorations/{exploration_id}/report"
-        )

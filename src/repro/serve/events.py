@@ -15,10 +15,11 @@ The streaming pipeline has three small parts:
 * :func:`read_new_progress` — the parent-side incremental reader: parse
   every *complete* line past a byte offset (a torn final line is left
   for the next poll) and return the samples plus the new offset.
-* :class:`EventLog` — the loop-confined per-job event journal.  Every
-  lifecycle transition and progress sample becomes a monotonically
-  sequenced :class:`repro.schema.JobEvent`; long-poll readers park a
-  future and are woken by the next publish.
+* :class:`EventLog` — the loop-confined per-resource event journal
+  each :class:`repro.serve.resources.ResourceManager` keeps.  Every
+  lifecycle transition, progress sample and exploration trial becomes
+  a monotonically sequenced :class:`repro.schema.JobEvent`; long-poll
+  readers park a future and are woken by the next publish.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def read_new_progress(path: str, offset: int = 0) -> tuple:
 
 
 class EventLog:
-    """Per-job ordered event journal with long-poll wakeups.
+    """Per-resource ordered event journal with long-poll wakeups.
 
     Loop-confined like the service: ``publish`` and ``wait`` must both
     run on the event-loop thread, which makes the waiter bookkeeping
@@ -117,10 +118,6 @@ class EventLog:
     def __init__(self) -> None:
         self._events: dict = {}   # job_id -> [JobEvent, ...]
         self._waiters: dict = {}  # job_id -> [Future, ...]
-
-    def register(self, job_id: str) -> None:
-        """Open an (empty) stream for a freshly created job."""
-        self._events.setdefault(job_id, [])
 
     def publish(self, job_id: str, kind: str, state: str | None = None,
                 progress: JobProgress | None = None, trial=None) -> JobEvent:
@@ -138,7 +135,11 @@ class EventLog:
 
     def events(self, job_id: str, after: int = -1) -> list:
         """Every event of ``job_id`` with ``seq > after``, in order."""
-        return [e for e in self._events.get(job_id, []) if e.seq > after]
+        return self._events.get(job_id, [])[max(after + 1, 0):]
+
+    def last_seq(self, job_id: str) -> int:
+        """The newest event's ``seq`` (``-1`` for an empty stream)."""
+        return len(self._events.get(job_id, ())) - 1
 
     async def wait(self, job_id: str, after: int = -1,
                    timeout: float | None = None) -> list:

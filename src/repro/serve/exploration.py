@@ -32,9 +32,8 @@ Three layers:
   payloads, drives :func:`repro.api.run_exploration` on a worker thread
   with a :class:`DistributedEvaluator` over the owning service, streams
   every completed trial as a ``kind="trial"``
-  :class:`repro.schema.JobEvent` through its own
-  :class:`~repro.serve.events.EventLog` (long-polled by
-  ``GET /v1/explorations/<id>/events``), and serves the final
+  :class:`repro.schema.JobEvent` on the exploration's event stream
+  (long-polled by ``GET /v1/explorations/<id>/events``), and serves the final
   :class:`repro.schema.ExplorationReport` wire record.  When the
   service has an artifact cache, completed trials persist as
   :class:`repro.tpe.TransferPriors` and warm-start later explorations
@@ -53,30 +52,24 @@ their results still land in the cache).
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
 
 from .. import obs
-from .client import JobFailedError, ServiceClient
-from .events import EventLog
-from .jobs import (
+from .client import JobFailedError, ServiceClient, as_wire
+from .queueing import scheduling_hints
+from .resources import (
     CANCELLED,
     DONE,
     FAILED,
     RUNNING,
     QueueFullError,
+    Resource,
+    ResourceManager,
+    ResourceStateError,
     ServeError,
-    ServiceClosedError,
 )
-
-#: Exploration lifecycle states (no ``queued`` — trials start queueing
-#: the moment the exploration is created).
-EXPLORATION_STATES = (RUNNING, DONE, FAILED, CANCELLED)
-
-#: States an exploration never leaves.
-EXPLORATION_TERMINAL = frozenset({DONE, FAILED, CANCELLED})
 
 #: Request keys accepted by ``POST /v1/explorations``.
 _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
@@ -84,24 +77,6 @@ _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
 #: In-band marker for a trial whose job failed (local to this module;
 #: the journal wire format matches ``make_batch_evaluator``'s).
 _FAILED = object()
-
-
-class UnknownExplorationError(ServeError, KeyError):
-    """An exploration id with no entry in the manager."""
-
-    def __init__(self, exploration_id: str, message: str | None = None) -> None:
-        self.exploration_id = exploration_id
-        self._message = message or f"unknown exploration {exploration_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        # KeyError.__str__ repr-quotes its argument; keep the message
-        # plain so it survives the HTTP error round-trip unmangled.
-        return self._message
-
-
-class ExplorationStateError(ServeError):
-    """An operation illegal in the exploration's current state."""
 
 
 class ExplorationCancelledError(ServeError):
@@ -205,13 +180,6 @@ class DistributedEvaluator:
             return asyncio.run_coroutine_threadsafe(outcome, self.loop).result()
         return outcome
 
-    @staticmethod
-    def _field(job, name: str):
-        """One accessor over in-process ``Job``s and HTTP wire dicts."""
-        if hasattr(job, name):
-            return getattr(job, name)
-        return job.get(name)
-
     def _submit(self, params: dict):
         """Submit one candidate, riding out backpressure.
 
@@ -238,27 +206,16 @@ class DistributedEvaluator:
                 time.sleep(max(min(float(exc.retry_after or 0.5), 1.0), 0.05))
                 continue
             self.jobs_submitted += 1
-            return job
+            return as_wire(job)["id"]
 
     def _wait_job(self, job_id: str):
-        """Await one job's terminal state in cancel-checkable slices."""
-        deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
-        )
+        """Await one job's terminal state in cancel-checkable slices (the
+        service enforces the trial budget as the job's own timeout)."""
         while True:
             self._check_cancelled()
-            wait = 2.0
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} outlived the {self.timeout:g}s "
-                        f"trial budget"
-                    )
-                wait = min(wait, remaining)
             try:
-                return self._call(self.client.wait, job_id, timeout=wait)
-            except (TimeoutError, asyncio.TimeoutError):
+                return self._call(self.client.wait, job_id, timeout=2.0)
+            except TimeoutError:
                 continue
 
     def _evaluate_remote(self, pending: list) -> list:
@@ -268,39 +225,37 @@ class DistributedEvaluator:
         success, the exception on failure (never raises for a single
         bad trial — only for cancellation).
         """
-        jobs = []
+        job_ids = []
         for params in pending:
             try:
-                jobs.append(self._submit(params))
+                job_ids.append(self._submit(params))
             except ExplorationCancelledError:
                 raise
             except Exception as exc:
-                jobs.append(exc)
+                job_ids.append(exc)
         outcomes = []
-        for job in jobs:
-            if isinstance(job, BaseException):
-                outcomes.append(job)
+        for job_id in job_ids:
+            if isinstance(job_id, BaseException):
+                outcomes.append(job_id)
                 continue
-            job_id = self._field(job, "id")
             try:
-                final = self._wait_job(job_id)
+                final = as_wire(self._wait_job(job_id))
             except ExplorationCancelledError:
                 raise
             except Exception as exc:
                 outcomes.append(exc)
                 continue
-            if self._field(final, "state") != DONE:
+            if final["state"] != DONE:
                 outcomes.append(JobFailedError(final))
                 continue
-            result = self._field(final, "result") or {}
-            route = result.get("route")
+            route = (final["result"] or {}).get("route")
             if not route:
                 outcomes.append(
                     ServeError(f"job {job_id} returned no route report")
                 )
                 continue
             raw = (float(route["total_overflow"]), float(route["wirelength"]))
-            outcomes.append((raw, bool(self._field(final, "cache_hit"))))
+            outcomes.append((raw, bool(final["cache_hit"])))
         return outcomes
 
     # -- the evaluator contract ----------------------------------------
@@ -357,19 +312,32 @@ class DistributedEvaluator:
 
 
 @dataclass
-class Exploration:
+class Exploration(Resource):
     """One exploration and its lifecycle (the ``/v1/explorations`` row).
+
+    There is no ``queued`` state — trials start queueing the moment the
+    exploration is created.
 
     Attributes:
         id: manager-unique identifier (``explore-N``).
         config: the validated :class:`repro.api.ExploreConfig`.
-        state: current lifecycle state (:data:`EXPLORATION_STATES`).
+        state: current lifecycle state.
         report: the :class:`repro.schema.ExplorationReport` wire dict
             once ``done``.
         error: terminal error message once ``failed``.
         trials: completed-trial count so far (grows live).
         created_at / finished_at: ``time.time()`` stamps.
     """
+
+    kind = "exploration"
+    path = "explorations"
+    prefix = "explore"
+    TRANSITIONS = {
+        RUNNING: frozenset({DONE, FAILED, CANCELLED}),
+        DONE: frozenset(),
+        FAILED: frozenset(),
+        CANCELLED: frozenset(),
+    }
 
     id: str
     config: object
@@ -380,10 +348,6 @@ class Exploration:
     created_at: float = field(default_factory=time.time)
     finished_at: float | None = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in EXPLORATION_TERMINAL
-
     def to_wire(self) -> dict:
         """The JSON-safe status dict served over HTTP.
 
@@ -391,41 +355,33 @@ class Exploration:
         ``GET /v1/explorations/<id>/report``; status carries only its
         headline numbers.
         """
+        report = self.report or {}
         return {
             "id": self.id,
             "state": self.state,
             "config": self.config.to_dict(),
             "trials": self.trials,
             "error": self.error,
-            "best_loss": None if self.report is None else self.report["best_loss"],
-            "evaluations": (
-                None if self.report is None else self.report["evaluations"]
-            ),
+            "best_loss": report.get("best_loss"),
+            "evaluations": report.get("evaluations"),
             "created_at": self.created_at,
             "finished_at": self.finished_at,
         }
 
 
-class ExplorationManager:
+class ExplorationManager(ResourceManager):
     """Owner of every exploration a service runs (``/v1/explorations``).
 
-    Mirrors :class:`~repro.serve.sessions.SessionManager` structurally:
-    loop-confined, one asyncio task per exploration, its own
-    :class:`~repro.serve.events.EventLog` for long-polling, explicit
-    drain.  The exploration itself runs on an executor thread (the TPE
-    loop is synchronous); completed trials hop back to the loop via
-    ``call_soon_threadsafe`` to publish ``kind="trial"`` events.
+    One asyncio task per exploration; the exploration itself runs on an
+    executor thread (the TPE loop is synchronous) and completed trials
+    hop back to the loop via ``call_soon_threadsafe`` to publish
+    ``kind="trial"`` events on the exploration's stream.
     """
 
     def __init__(self, service) -> None:
+        super().__init__(Exploration)
         self.service = service
-        self._explorations: dict = {}
-        self._ids = itertools.count(1)
-        self._events = EventLog()
         self._evaluators: dict = {}
-        self._tasks: set = set()
-        self._done_events: dict = {}
-        self._draining = False
 
     # -- lifecycle -----------------------------------------------------
 
@@ -444,39 +400,14 @@ class ExplorationManager:
         from .. import api
 
         with obs.span("serve/request", op="explore"):
-            if self._draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting explorations"
-                )
-            if not isinstance(request, dict):
-                raise ValueError(
-                    f"request must be a dict, got {type(request).__name__}"
-                )
-            unknown = set(request) - _EXPLORE_KEYS
-            if unknown:
-                raise ValueError(f"unknown request keys: {sorted(unknown)}")
+            self.check_open()
+            self.validate(request, _EXPLORE_KEYS)
             config = api.ExploreConfig.from_dict(request.get("config") or {})
-            priority = request.get("priority", 0)
-            if not isinstance(priority, int) or isinstance(priority, bool):
-                raise ValueError("request 'priority' must be an int")
-            client_id = request.get("client_id", "explore")
-            if not isinstance(client_id, str) or not client_id:
-                raise ValueError("request 'client_id' must be a non-empty string")
-            exploration = Exploration(
-                id=f"explore-{next(self._ids)}", config=config
-            )
-            self._explorations[exploration.id] = exploration
-            self._done_events[exploration.id] = asyncio.Event()
-            self._events.register(exploration.id)
-            self._events.publish(exploration.id, "state", state=RUNNING)
+            priority, client_id = scheduling_hints(request, "explore")
+            exploration = self.add(Exploration(id=self.new_id(), config=config))
             obs.counter("explore/created").inc()
-            self._spawn(self._run(exploration, priority, client_id))
+            self.spawn(self._run(exploration, priority, client_id))
             return exploration
-
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     async def _run(self, exploration: Exploration, priority: int,
                    client_id: str) -> None:
@@ -519,8 +450,7 @@ class ExplorationManager:
                     exploration, FAILED, error=f"{type(exc).__name__}: {exc}"
                 )
         else:
-            exploration.report = outcome.wire.to_dict()
-            self._finish(exploration, DONE)
+            self._finish(exploration, DONE, report=outcome.wire.to_dict())
         finally:
             self._evaluators.pop(exploration.id, None)
 
@@ -528,104 +458,52 @@ class ExplorationManager:
         if exploration.terminal:
             return
         exploration.trials += 1
-        self._events.publish(exploration.id, "trial", trial=trial)
+        self.publish(exploration.id, "trial", trial=trial)
         obs.counter("explore/trials").inc()
 
-    def _finish(self, exploration: Exploration, state: str,
-                error: str | None = None) -> None:
-        exploration.state = state
-        exploration.error = error
-        exploration.finished_at = time.time()
-        self._events.publish(exploration.id, "state", state=state)
-        self._done_events[exploration.id].set()
+    def _finish(self, exploration: Exploration, state: str, **fields) -> None:
+        self.transition(exploration, state, **fields)
         obs.counter(f"explore/{state}").inc()
 
     # -- queries -------------------------------------------------------
-
-    def get(self, exploration_id: str) -> Exploration:
-        """The exploration for ``exploration_id`` (raises
-        :class:`UnknownExplorationError`)."""
-        try:
-            return self._explorations[exploration_id]
-        except KeyError:
-            raise UnknownExplorationError(exploration_id) from None
-
-    def explorations(self, state: str | None = None) -> list:
-        """All explorations in creation order, optionally by state."""
-        items = list(self._explorations.values())
-        if state is not None:
-            items = [e for e in items if e.state == state]
-        return items
-
-    def events(self, exploration_id: str, after: int = -1) -> list:
-        """Events with ``seq > after`` (non-blocking)."""
-        self.get(exploration_id)  # raises UnknownExplorationError
-        return self._events.events(exploration_id, after)
-
-    async def wait_events(self, exploration_id: str, after: int = -1,
-                          timeout: float | None = 30.0) -> tuple:
-        """Long-poll for events past ``after``.
-
-        Returns ``(events, stream_done)`` exactly like
-        :meth:`repro.serve.service.PlacementService.wait_events`.
-        """
-        exploration = self.get(exploration_id)
-        fresh = self._events.events(exploration_id, after)
-        if not fresh and not exploration.terminal:
-            fresh = await self._events.wait(exploration_id, after, timeout)
-        return fresh, exploration.terminal
 
     def report(self, exploration_id: str) -> dict:
         """The finished exploration's wire report.
 
         Raises:
-            ExplorationStateError: not ``done`` yet (HTTP 409) — failed
+            ResourceStateError: not ``done`` yet (HTTP 409) — failed
                 and cancelled explorations have no report either.
         """
         exploration = self.get(exploration_id)
         if exploration.state != DONE:
-            raise ExplorationStateError(
+            raise ResourceStateError(
+                "exploration",
                 f"exploration {exploration_id} is {exploration.state}; "
-                f"the report is available once done"
+                f"the report is available once done",
             )
         return exploration.report
 
-    def cancel(self, exploration_id: str) -> Exploration:
+    def delete(self, exploration_id: str) -> Exploration:
         """Request a cooperative cancel (jobs already queued finish).
 
         Raises:
-            UnknownExplorationError: no such exploration.
-            ExplorationStateError: already terminal.
+            UnknownResourceError: no such exploration.
+            ResourceStateError: already terminal.
         """
         exploration = self.get(exploration_id)
         if exploration.terminal:
-            raise ExplorationStateError(
-                f"exploration {exploration_id} is already {exploration.state}"
+            raise ResourceStateError(
+                "exploration",
+                f"exploration {exploration_id} is already {exploration.state}",
             )
         evaluator = self._evaluators.get(exploration_id)
         if evaluator is not None:
             evaluator.cancel()
         return exploration
 
-    async def wait(self, exploration_id: str,
-                   timeout: float | None = None) -> Exploration:
-        """Await an exploration's terminal state and return it."""
-        exploration = self.get(exploration_id)
-        await asyncio.wait_for(
-            self._done_events[exploration_id].wait(), timeout
-        )
-        return exploration
-
-    def counts(self) -> dict:
-        """``state -> count`` over every state (zeros included)."""
-        counts = dict.fromkeys(EXPLORATION_STATES, 0)
-        for exploration in self._explorations.values():
-            counts[exploration.state] += 1
-        return counts
-
     async def drain(self) -> None:
         """Stop intake, cancel live explorations, await their tasks."""
-        self._draining = True
+        self.draining = True
         for evaluator in list(self._evaluators.values()):
             evaluator.cancel()
         if self._tasks:
@@ -698,13 +576,9 @@ class LocalServiceHost:
 
 
 __all__ = [
-    "EXPLORATION_STATES",
-    "EXPLORATION_TERMINAL",
     "DistributedEvaluator",
     "Exploration",
     "ExplorationCancelledError",
     "ExplorationManager",
-    "ExplorationStateError",
     "LocalServiceHost",
-    "UnknownExplorationError",
 ]

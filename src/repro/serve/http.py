@@ -1,45 +1,32 @@
 """JSON-over-HTTP front end of the placement service (stdlib only).
 
 A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` —
-no framework, no threads — translating requests into
-:class:`~repro.serve.service.PlacementService` calls.  Every route
-lives under the versioned ``/v1`` prefix and is declared once in
-:data:`ROUTES`, the single route table:
+no framework, no threads — translating requests into calls on the
+service's resource managers (:mod:`repro.serve.resources`).  Every
+route lives under the versioned ``/v1`` prefix.  Each manager in
+``service.managers`` contributes the same generic routes, where
+``<kind>`` is its collection (``jobs``, ``sessions``, ``explorations``,
+and ``sessions/<sid>/deltas``):
 
 ====== ============================== ================================
 Method Path                           Action
 ====== ============================== ================================
-GET    ``/v1/healthz``                liveness + queue/job counts
-GET    ``/v1/metrics``                service counters and obs instruments
-POST   ``/v1/jobs``                   submit a placement job (``202``)
-GET    ``/v1/jobs``                   list jobs (``?state=`` filters)
-GET    ``/v1/jobs/<id>``              one job's status/result
-DELETE ``/v1/jobs/<id>``              cancel a job
-GET    ``/v1/jobs/<id>/events``       the job's event stream
+POST   ``/v1/<kind>``                 create (``202``)
+GET    ``/v1/<kind>``                 list (``?state=`` filters)
+GET    ``/v1/<kind>/<id>``            one resource's status
+DELETE ``/v1/<kind>/<id>``            cancel a job or exploration,
+                                      close a session (not deltas)
+GET    ``/v1/<kind>/<id>/events``     the resource's event stream
                                       (``?after=<seq>&wait=<s>`` long-polls)
-POST   ``/v1/sessions``               open an ECO session (``202``)
-GET    ``/v1/sessions``               list sessions
-GET    ``/v1/sessions/<id>``          one session's status + delta history
-DELETE ``/v1/sessions/<id>``          close a session (GC retained state)
-POST   ``/v1/sessions/<id>/deltas``   submit an incremental delta
-GET    ``/v1/sessions/<id>/deltas``   list the session's deltas
-GET    ``/v1/sessions/<id>/deltas/<did>`` one delta's status/result
-POST   ``/v1/explorations``           start a strategy exploration (``202``)
-GET    ``/v1/explorations``           list explorations (``?state=`` filters)
-GET    ``/v1/explorations/<id>``      one exploration's status
-DELETE ``/v1/explorations/<id>``      cancel an exploration (cooperative)
-GET    ``/v1/explorations/<id>/events`` the exploration's trial/state stream
-                                      (``?after=<seq>&wait=<s>`` long-polls)
-GET    ``/v1/explorations/<id>/report`` the finished report (409 until done)
 ====== ============================== ================================
 
-The pre-``/v1`` unversioned paths keep answering through a shim: the
-path is re-matched with ``/v1`` prepended and the response carries
-``Deprecation: true`` plus a ``Link: </v1/...>; rel="successor-version"``
-header pointing at the replacement (pinned by
-``tests/test_deprecations.py``).
+plus ``GET /v1/healthz`` (liveness + per-kind state counts),
+``GET /v1/metrics`` (service counters and obs instruments) and
+``GET /v1/explorations/<id>/report`` (the finished report, 409 until
+done).  A path outside this table is a plain 404.
 
-Error mapping (one table for every route): validation problems are
+Error mapping (one table for every route): validation problems —
+including malformed request framing and an unknown ``?state=`` — are
 ``400``, unknown ids ``404``, illegal lifecycle moves ``409``, a full
 queue ``429`` with a ``Retry-After`` header, drain ``503``.  Every
 response is JSON and every connection is single-shot
@@ -53,20 +40,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+from functools import partial
 from http import HTTPStatus
 
 from ..schema import SchemaError
-from .exploration import ExplorationStateError, UnknownExplorationError
-from .jobs import (
-    JobStateError,
+from .resources import (
     QueueFullError,
+    ResourceStateError,
     ServiceClosedError,
-    UnknownJobError,
-)
-from .sessions import (
-    SessionStateError,
-    UnknownDeltaError,
-    UnknownSessionError,
+    UnknownResourceError,
 )
 
 #: Request-size guards (a placement request is a few KB of JSON).
@@ -76,29 +58,14 @@ MAX_BODY_BYTES = 1024 * 1024
 #: Longest server-side hold of an events long-poll, seconds.
 MAX_EVENT_WAIT = 60.0
 
-#: The route table: every (method, path pattern, handler) of the API.
-#: ``{name}`` segments capture path parameters passed to the handler.
-ROUTES = (
-    ("GET", "/v1/healthz", "healthz"),
-    ("GET", "/v1/metrics", "metrics"),
-    ("POST", "/v1/jobs", "submit_job"),
-    ("GET", "/v1/jobs", "list_jobs"),
-    ("GET", "/v1/jobs/{job_id}", "job_status"),
-    ("DELETE", "/v1/jobs/{job_id}", "cancel_job"),
-    ("GET", "/v1/jobs/{job_id}/events", "job_events"),
-    ("POST", "/v1/sessions", "create_session"),
-    ("GET", "/v1/sessions", "list_sessions"),
-    ("GET", "/v1/sessions/{session_id}", "session_status"),
-    ("DELETE", "/v1/sessions/{session_id}", "close_session"),
-    ("POST", "/v1/sessions/{session_id}/deltas", "submit_delta"),
-    ("GET", "/v1/sessions/{session_id}/deltas", "list_deltas"),
-    ("GET", "/v1/sessions/{session_id}/deltas/{delta_id}", "delta_status"),
-    ("POST", "/v1/explorations", "create_exploration"),
-    ("GET", "/v1/explorations", "list_explorations"),
-    ("GET", "/v1/explorations/{exploration_id}", "exploration_status"),
-    ("DELETE", "/v1/explorations/{exploration_id}", "cancel_exploration"),
-    ("GET", "/v1/explorations/{exploration_id}/events", "exploration_events"),
-    ("GET", "/v1/explorations/{exploration_id}/report", "exploration_report"),
+#: Exception type -> HTTP status, checked in order (the first match wins).
+_ERROR_STATUS = (
+    (ServiceClosedError, HTTPStatus.SERVICE_UNAVAILABLE),
+    (UnknownResourceError, HTTPStatus.NOT_FOUND),
+    (ResourceStateError, HTTPStatus.CONFLICT),
+    # SchemaError/UnknownFlowError are ValueErrors; KeyError is
+    # StrategyParams' unknown-parameter rejection.
+    ((SchemaError, ValueError, KeyError), HTTPStatus.BAD_REQUEST),
 )
 
 
@@ -116,37 +83,6 @@ def _segments(path: str) -> list:
     return [part for part in path.split("/") if part]
 
 
-def _match_route(method: str, path: str):
-    """``(handler name, path params)`` for ``method path``, or raise.
-
-    A path that matches a pattern under a different method is a 405; a
-    path matching nothing returns ``(None, None)`` so the caller can
-    try the deprecation shim before settling on 404.
-    """
-    parts = _segments(path)
-    allowed = set()
-    for route_method, pattern, handler in ROUTES:
-        pattern_parts = _segments(pattern)
-        if len(pattern_parts) != len(parts):
-            continue
-        params = {}
-        for want, got in zip(pattern_parts, parts):
-            if want.startswith("{") and want.endswith("}"):
-                params[want[1:-1]] = got
-            elif want != got:
-                break
-        else:
-            if route_method == method:
-                return handler, params
-            allowed.add(route_method)
-    if allowed:
-        raise _HttpError(
-            HTTPStatus.METHOD_NOT_ALLOWED,
-            f"{method} {path} (allowed: {', '.join(sorted(allowed))})",
-        )
-    return None, None
-
-
 class HttpServer:
     """Serves a :class:`PlacementService` over HTTP.
 
@@ -161,7 +97,58 @@ class HttpServer:
         self.service = service
         self.host = host
         self.port = port
+        self.routes = self._build_routes()
         self._server: asyncio.AbstractServer | None = None
+
+    def _build_routes(self) -> list:
+        """``(method, path pattern, handler)`` for every route; ``{name}``
+        segments capture path parameters passed to the handler."""
+        routes = [
+            ("GET", "/v1/healthz", partial(self._read, self.service.healthz)),
+            ("GET", "/v1/metrics", partial(self._read, self.service.metrics)),
+            ("GET", "/v1/explorations/{id}/report",
+             partial(self._read, self.service.explorations.report)),
+        ]
+        for manager in self.service.managers.values():
+            base = f"/v1/{manager.path}"
+            if manager.parent is not None:
+                base = f"/v1/{manager.parent.path}/{{parent}}/{manager.path}"
+            item = base + "/{id}"
+            routes += [
+                ("POST", base, partial(self._create, manager)),
+                ("GET", base, partial(self._list, manager)),
+                ("GET", item, partial(self._status, manager)),
+                ("GET", item + "/events", partial(self._events, manager)),
+            ]
+            if manager.delete is not None:
+                routes.append(("DELETE", item, partial(self._delete, manager)))
+        return routes
+
+    def _match(self, method: str, path: str) -> tuple:
+        """``(handler, path params)`` for ``method path``; a path that
+        matches under another method is a 405, no match at all a 404."""
+        parts = _segments(path)
+        allowed = set()
+        for route_method, pattern, handler in self.routes:
+            pattern_parts = _segments(pattern)
+            if len(pattern_parts) != len(parts):
+                continue
+            params = {}
+            for want, got in zip(pattern_parts, parts):
+                if want.startswith("{") and want.endswith("}"):
+                    params[want[1:-1]] = got
+                elif want != got:
+                    break
+            else:
+                if route_method == method:
+                    return handler, params
+                allowed.add(route_method)
+        if allowed:
+            raise _HttpError(
+                HTTPStatus.METHOD_NOT_ALLOWED,
+                f"{method} {path} (allowed: {', '.join(sorted(allowed))})",
+            )
+        raise _HttpError(HTTPStatus.NOT_FOUND, f"no route for {path}")
 
     async def start(self) -> tuple:
         """Bind and start accepting; returns the actual ``(host, port)``."""
@@ -224,177 +211,90 @@ class HttpServer:
                 continue
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpError(HTTPStatus.BAD_REQUEST,
+                             f"bad Content-Length: {raw_length!r}")
         if length > MAX_BODY_BYTES:
             raise _HttpError(HTTPStatus.REQUEST_ENTITY_TOO_LARGE, "body too large")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, body
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-
     async def _dispatch(self, method: str, path: str, body: bytes) -> tuple:
         path, _sep, query = path.partition("?")
-        shim_headers = {}
-        handler_name, params = _match_route(method, path)
-        if handler_name is None and not path.startswith("/v1/"):
-            handler_name, params = _match_route(method, "/v1" + path)
-            if handler_name is not None:
-                shim_headers = {
-                    "Deprecation": "true",
-                    "Link": f'</v1{path}>; rel="successor-version"',
-                }
-        if handler_name is None:
-            raise _HttpError(HTTPStatus.NOT_FOUND, f"no route for {path}")
-        handler = getattr(self, "_handle_" + handler_name)
+        handler, params = self._match(method, path)
         try:
-            status, payload, headers = await handler(params, query, body)
-        except _HttpError as err:
-            err.headers = {**shim_headers, **err.headers}
-            raise
+            status, payload = await handler(params, query, body)
         except QueueFullError as exc:
             raise _HttpError(
                 HTTPStatus.TOO_MANY_REQUESTS, str(exc),
-                headers={**shim_headers, "Retry-After": f"{exc.retry_after:g}"},
+                headers={"Retry-After": f"{exc.retry_after:g}"},
             ) from None
-        except ServiceClosedError as exc:
-            raise _HttpError(HTTPStatus.SERVICE_UNAVAILABLE, str(exc),
-                             headers=dict(shim_headers)) from None
-        except (UnknownJobError, UnknownSessionError, UnknownDeltaError,
-                UnknownExplorationError) as exc:
-            raise _HttpError(HTTPStatus.NOT_FOUND, str(exc),
-                             headers=dict(shim_headers)) from None
-        except (JobStateError, SessionStateError, ExplorationStateError) as exc:
-            raise _HttpError(HTTPStatus.CONFLICT, str(exc),
-                             headers=dict(shim_headers)) from None
-        except (SchemaError, ValueError, KeyError) as exc:
-            # SchemaError/UnknownFlowError are ValueErrors; KeyError is
-            # StrategyParams' unknown-parameter rejection.
-            raise _HttpError(HTTPStatus.BAD_REQUEST, str(exc),
-                             headers=dict(shim_headers)) from None
-        return status, payload, {**shim_headers, **headers}
+        except _HttpError:
+            raise
+        except Exception as exc:
+            for error_type, error_status in _ERROR_STATUS:
+                if isinstance(exc, error_type):
+                    raise _HttpError(error_status, str(exc)) from None
+            raise
+        return status, payload, {}
 
     # ------------------------------------------------------------------
-    # Handlers (one per ROUTES entry)
+    # Handlers
     # ------------------------------------------------------------------
 
-    async def _handle_healthz(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.healthz(), {}
+    async def _read(self, fn, params, query, body) -> tuple:
+        """A read-only route: ``fn`` of the path parameters."""
+        return HTTPStatus.OK, fn(*params.values())
 
-    async def _handle_metrics(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.metrics(), {}
+    @staticmethod
+    def _lookup(manager, params):
+        """The addressed resource (``None`` for collection routes) after
+        checking the parent; an id under another parent is unknown."""
+        parent = params.get("parent")
+        if parent is not None:
+            manager.parent.get(parent)
+        return manager.get(params["id"], parent) if "id" in params else None
 
-    async def _handle_submit_job(self, params, query, body) -> tuple:
-        job = self.service.submit(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, job.to_wire(), {}
+    async def _create(self, manager, params, query, body) -> tuple:
+        self._lookup(manager, params)
+        scope = [params["parent"]] if "parent" in params else []
+        resource = manager.create(self._parse_body(body), *scope)
+        return HTTPStatus.ACCEPTED, resource.to_wire()
 
-    async def _handle_list_jobs(self, params, query, body) -> tuple:
-        state = _query_param(query, "state")
-        jobs = [job.to_wire() for job in self.service.jobs(state)]
-        return HTTPStatus.OK, {"jobs": jobs}, {}
+    async def _list(self, manager, params, query, body) -> tuple:
+        self._lookup(manager, params)
+        resources = manager.list(_query_param(query, "state"), params.get("parent"))
+        return HTTPStatus.OK, {manager.path: [r.to_wire() for r in resources]}
 
-    async def _handle_job_status(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.status(params["job_id"]).to_wire(), {}
+    async def _status(self, manager, params, query, body) -> tuple:
+        return HTTPStatus.OK, self._lookup(manager, params).to_wire()
 
-    async def _handle_cancel_job(self, params, query, body) -> tuple:
-        return HTTPStatus.OK, self.service.cancel(params["job_id"]).to_wire(), {}
+    async def _delete(self, manager, params, query, body) -> tuple:
+        resource = self._lookup(manager, params)
+        return HTTPStatus.OK, manager.delete(resource.id).to_wire()
 
-    async def _handle_job_events(self, params, query, body) -> tuple:
-        job_id = params["job_id"]
+    async def _events(self, manager, params, query, body) -> tuple:
+        resource_id = self._lookup(manager, params).id
         after = _numeric_param(query, "after", int, -1)
         wait = _numeric_param(query, "wait", float, 0.0)
         if wait > 0:
-            events, done = await self.service.wait_events(
-                job_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
+            events, done = await manager.wait_events(
+                resource_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
             )
         else:
-            events = self.service.events(job_id, after=after)
-            done = self.service.status(job_id).terminal
-        next_after = events[-1].seq if events else after
-        payload = {
-            "job_id": job_id,
+            events = manager.events(resource_id, after)
+            done = manager.get(resource_id).terminal
+        return HTTPStatus.OK, {
+            f"{manager.kind}_id": resource_id,
             "events": [event.to_dict() for event in events],
-            "next_after": next_after,
+            "next_after": events[-1].seq if events else after,
             "stream_done": done,
         }
-        return HTTPStatus.OK, payload, {}
-
-    async def _handle_create_session(self, params, query, body) -> tuple:
-        session = self.service.sessions.create(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, session.to_wire(), {}
-
-    async def _handle_list_sessions(self, params, query, body) -> tuple:
-        sessions = [s.to_wire() for s in self.service.sessions.sessions()]
-        return HTTPStatus.OK, {"sessions": sessions}, {}
-
-    async def _handle_session_status(self, params, query, body) -> tuple:
-        session = self.service.sessions.get(params["session_id"])
-        return HTTPStatus.OK, session.to_wire(), {}
-
-    async def _handle_close_session(self, params, query, body) -> tuple:
-        session = self.service.sessions.close(params["session_id"])
-        return HTTPStatus.OK, session.to_wire(), {}
-
-    async def _handle_submit_delta(self, params, query, body) -> tuple:
-        delta = self.service.sessions.submit_delta(
-            params["session_id"], self._parse_body(body)
-        )
-        return HTTPStatus.ACCEPTED, delta.to_wire(), {}
-
-    async def _handle_list_deltas(self, params, query, body) -> tuple:
-        session = self.service.sessions.get(params["session_id"])
-        deltas = [d.to_wire() for d in session.deltas.values()]
-        return HTTPStatus.OK, {"deltas": deltas}, {}
-
-    async def _handle_delta_status(self, params, query, body) -> tuple:
-        delta = self.service.sessions.delta(
-            params["session_id"], params["delta_id"]
-        )
-        return HTTPStatus.OK, delta.to_wire(), {}
-
-    async def _handle_create_exploration(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.create(self._parse_body(body))
-        return HTTPStatus.ACCEPTED, exploration.to_wire(), {}
-
-    async def _handle_list_explorations(self, params, query, body) -> tuple:
-        state = _query_param(query, "state")
-        explorations = [
-            e.to_wire() for e in self.service.explorations.explorations(state)
-        ]
-        return HTTPStatus.OK, {"explorations": explorations}, {}
-
-    async def _handle_exploration_status(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.get(params["exploration_id"])
-        return HTTPStatus.OK, exploration.to_wire(), {}
-
-    async def _handle_cancel_exploration(self, params, query, body) -> tuple:
-        exploration = self.service.explorations.cancel(params["exploration_id"])
-        return HTTPStatus.OK, exploration.to_wire(), {}
-
-    async def _handle_exploration_events(self, params, query, body) -> tuple:
-        exploration_id = params["exploration_id"]
-        after = _numeric_param(query, "after", int, -1)
-        wait = _numeric_param(query, "wait", float, 0.0)
-        if wait > 0:
-            events, done = await self.service.explorations.wait_events(
-                exploration_id, after=after, timeout=min(wait, MAX_EVENT_WAIT)
-            )
-        else:
-            events = self.service.explorations.events(exploration_id, after=after)
-            done = self.service.explorations.get(exploration_id).terminal
-        next_after = events[-1].seq if events else after
-        payload = {
-            "exploration_id": exploration_id,
-            "events": [event.to_dict() for event in events],
-            "next_after": next_after,
-            "stream_done": done,
-        }
-        return HTTPStatus.OK, payload, {}
-
-    async def _handle_exploration_report(self, params, query, body) -> tuple:
-        report = self.service.explorations.report(params["exploration_id"])
-        return HTTPStatus.OK, report, {}
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -28,6 +28,21 @@ import asyncio
 from collections import deque
 
 
+def scheduling_hints(request: dict, default_client: str) -> tuple:
+    """Validated ``(priority, client_id)`` of a request dict.
+
+    Both shape scheduling only — never the work — so jobs and
+    explorations (whose trials become jobs) read them the same way.
+    """
+    priority = request.get("priority", 0)
+    if not isinstance(priority, int) or isinstance(priority, bool):
+        raise ValueError("request 'priority' must be an int")
+    client_id = request.get("client_id", default_client)
+    if not isinstance(client_id, str) or not client_id:
+        raise ValueError("request 'client_id' must be a non-empty string")
+    return priority, client_id
+
+
 class FairQueue:
     """Bounded multi-client job buffer with weighted-RR dispatch.
 

@@ -7,7 +7,7 @@ the HTTP front end (:mod:`repro.serve.http`) and the in-process
 * a **bounded fair queue** (:class:`repro.serve.queueing.FairQueue`):
   per-client weighted round-robin dispatch, priority-first within a
   client, explicit backpressure via
-  :class:`~repro.serve.jobs.QueueFullError` when full — and, before
+  :class:`~repro.serve.resources.QueueFullError` when full — and, before
   rejecting, **load-shedding**: a strictly higher-priority submission
   may evict the lowest-priority queued job instead of bouncing;
 * **execution shards** — with ``ServiceConfig.shards > 0``, one
@@ -24,9 +24,9 @@ the HTTP front end (:mod:`repro.serve.http`) and the in-process
   the first follower to run for real);
 * **progress streaming** — shard workers append gp-iteration /
   padding-round / RRR-round samples to a per-job progress file; the
-  service pumps new lines into a per-job :class:`~repro.serve.events.EventLog`
-  alongside every lifecycle transition, which
-  ``GET /v1/jobs/<id>/events`` long-polls.
+  service pumps new lines into the job's event stream (its
+  :class:`~repro.serve.resources.ResourceManager`) alongside every
+  lifecycle transition, which ``GET /v1/jobs/<id>/events`` long-polls.
 
 Requests are validated *at the boundary*: a bad config, flow, or verify
 level raises before a job is created, so the queue only ever holds
@@ -54,21 +54,20 @@ from .. import obs
 from ..runtime import ArtifactCache, Task, TaskExecutor, TaskTimeoutError, stable_hash
 from ..runtime import shm as shm_runtime
 from ..runtime.cache import MISSING
-from .events import EventLog, read_new_progress
+from .events import read_new_progress
 from .exploration import ExplorationManager
-from .jobs import (
+from .queueing import FairQueue, scheduling_hints
+from .resources import (
     CANCELLED,
     DONE,
     FAILED,
     QUEUED,
     RUNNING,
-    Job,
-    JobStateError,
-    JobStore,
     QueueFullError,
-    ServiceClosedError,
+    Resource,
+    ResourceManager,
+    ResourceStateError,
 )
-from .queueing import FairQueue
 from .sessions import SessionManager
 from .shards import ProcessShard
 
@@ -76,6 +75,78 @@ from .shards import ProcessShard
 _REQUEST_KEYS = frozenset(
     {"design", "flow", "config", "route", "timeout", "priority", "client_id"}
 )
+
+
+@dataclass
+class Job(Resource):
+    """One placement request and its lifecycle::
+
+        queued ──────────────► running ──► done / failed
+           │                      │
+           ├──► done (cache hit)  └──► cancelled
+           └──► cancelled
+
+    Attributes:
+        id: service-unique identifier (``job-N``).
+        request: the validated wire request (JSON-safe dict).
+        key: memoization key — ``stable_hash`` of the serialized config.
+        state: current lifecycle state.
+        result: JSON-safe result summary once ``done``.
+        error: terminal error message once ``failed``.
+        cache_hit: whether the result came from the artifact cache.
+        timeout: per-job wall-clock budget in seconds (``None`` = none).
+        client_id: fair-queue bucket the job dispatches from.
+        priority: scheduling priority (larger int = more important).
+        coalesced: the job attached to an in-flight duplicate instead of
+            queueing its own execution.
+        shard: index of the process shard that ran the job (``None``
+            until running, and always in thread mode).
+        submitted_at / started_at / finished_at: ``time.time()`` stamps.
+    """
+
+    kind = "job"
+    path = "jobs"
+    prefix = "job"
+    TRANSITIONS = {
+        QUEUED: frozenset({RUNNING, DONE, CANCELLED}),
+        RUNNING: frozenset({DONE, FAILED, CANCELLED}),
+        DONE: frozenset(),
+        FAILED: frozenset(),
+        CANCELLED: frozenset(),
+    }
+    WIRE = ("id", "state", "key", "request", "result", "error", "cache_hit",
+            "timeout", "client_id", "priority", "coalesced", "shard",
+            "submitted_at", "started_at", "finished_at")
+
+    id: str
+    request: dict
+    key: str
+    state: str = QUEUED
+    result: dict | None = None
+    error: str | None = None
+    cache_hit: bool = False
+    timeout: float | None = None
+    client_id: str = "default"
+    priority: int = 0
+    coalesced: bool = False
+    shard: int | None = None
+    submitted_at: float = field(default_factory=time.time)
+    started_at: float | None = None
+    finished_at: float | None = None
+
+
+class JobManager(ResourceManager):
+    """The job registry; creation and cancellation are the service's."""
+
+    def __init__(self, service: "PlacementService") -> None:
+        super().__init__(Job)
+        self.service = service
+
+    def create(self, request: dict) -> Job:
+        return self.service.submit(request)
+
+    def delete(self, job_id: str) -> Job:
+        return self.service.cancel(job_id)
 
 
 def execute_request(request: dict) -> dict:
@@ -183,13 +254,21 @@ class PlacementService:
         if self.config.shards < 0:
             raise ValueError("shards must be >= 0")
         self._runner = runner or execute_request
+        self.jobs = JobManager(self)
         self.sessions = SessionManager(engine_factory=session_engine_factory)
         self.explorations = ExplorationManager(self)
-        self._store = JobStore()
+        #: ``kind -> manager``: what the HTTP routes and clients address.
+        self.managers = {
+            manager.kind: manager
+            for manager in (self.jobs, self.sessions, self.sessions.deltas,
+                            self.explorations)
+        }
+        # The job manager's generic operations under the service's names.
+        self.status, self.events = self.jobs.get, self.jobs.events
+        self.wait, self.wait_events = self.jobs.wait, self.jobs.wait_events
         self._queue = FairQueue(
             self.config.capacity, weights=self.config.client_weights
         )
-        self._events = EventLog()
         self._cache = (
             ArtifactCache(self.config.cache_dir) if self.config.cache_dir else None
         )
@@ -211,9 +290,7 @@ class PlacementService:
         self._primary: dict = {}    # memo key -> primary job id (non-terminal)
         self._followers: dict = {}  # primary job id -> [follower job ids]
         self._workers: list = []
-        self._done_events: dict = {}
         self._cancel_events: dict = {}
-        self._draining = False
         self.started_at = time.time()
         self.counts = {
             "submitted": 0,
@@ -263,7 +340,7 @@ class PlacementService:
         checkpoint — incremental work cannot outlive the service that
         holds it.
         """
-        self._draining = True
+        self.jobs.draining = True
         await self.explorations.drain()
         self.sessions.close_all()
         await self._queue.join()
@@ -306,8 +383,7 @@ class PlacementService:
             repro.api.UnknownFlowError: invalid request payloads.
         """
         with obs.span("serve/request", op="submit"):
-            if self._draining:
-                raise ServiceClosedError("service is draining; not accepting jobs")
+            self.jobs.check_open()
             normalized, timeout, client_id, priority = self._normalize(request)
             key = stable_hash(normalized)
 
@@ -319,7 +395,7 @@ class PlacementService:
                 self._finish(job, DONE, result=cached, cache_hit=True)
                 return job
             primary_id = self._primary.get(key)
-            if primary_id is not None and not self._store.get(primary_id).terminal:
+            if primary_id is not None and not self.jobs.get(primary_id).terminal:
                 job = self._admit(normalized, key, timeout, client_id, priority)
                 job.coalesced = True
                 self._followers.setdefault(primary_id, []).append(job.id)
@@ -349,36 +425,6 @@ class PlacementService:
             self._set_depth()
             return job
 
-    def status(self, job_id: str) -> Job:
-        """The job for ``job_id`` (raises :class:`UnknownJobError`)."""
-        with obs.span("serve/request", op="status"):
-            return self._store.get(job_id)
-
-    def jobs(self, state: str | None = None) -> list:
-        """All jobs in submission order, optionally filtered by state."""
-        with obs.span("serve/request", op="jobs"):
-            return self._store.jobs(state)
-
-    def events(self, job_id: str, after: int = -1) -> list:
-        """Events of ``job_id`` with ``seq > after`` (non-blocking)."""
-        with obs.span("serve/request", op="events", job=job_id):
-            self._store.get(job_id)  # raises UnknownJobError
-            return self._events.events(job_id, after)
-
-    async def wait_events(self, job_id: str, after: int = -1,
-                          timeout: float | None = 30.0) -> tuple:
-        """Long-poll for events past ``after``.
-
-        Returns ``(events, stream_done)``: a possibly-empty ordered
-        slice plus whether the job has reached a terminal state (after
-        which no further events will ever arrive).
-        """
-        job = self._store.get(job_id)
-        fresh = self._events.events(job_id, after)
-        if not fresh and not job.terminal:
-            fresh = await self._events.wait(job_id, after, timeout)
-        return fresh, job.terminal
-
     def cancel(self, job_id: str) -> Job:
         """Cancel a job: immediate when queued, forceful when running
         on a shard, best-effort in thread mode.
@@ -392,13 +438,13 @@ class PlacementService:
         background.
 
         Raises:
-            UnknownJobError: no such job.
-            JobStateError: the job already reached a terminal state.
+            UnknownResourceError: no such job.
+            ResourceStateError: the job already reached a terminal state.
         """
         with obs.span("serve/request", op="cancel", job=job_id):
-            job = self._store.get(job_id)
+            job = self.jobs.get(job_id)
             if job.terminal:
-                raise JobStateError(f"job {job_id} is already {job.state}")
+                raise ResourceStateError("job", f"job {job_id} is already {job.state}")
             if job.state == QUEUED:
                 self._queue.remove(job)  # no-op for coalesced followers
                 self._set_depth()
@@ -409,12 +455,6 @@ class PlacementService:
                     self._shards[job.shard].abort()
             return job
 
-    async def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        """Await a job's terminal state and return it."""
-        job = self._store.get(job_id)
-        await asyncio.wait_for(self._done_events[job_id].wait(), timeout)
-        return job
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -423,13 +463,13 @@ class PlacementService:
         """The ``/v1/healthz`` payload."""
         return {
             "ok": True,
-            "status": "draining" if self._draining else "serving",
+            "status": "draining" if self.jobs.draining else "serving",
             "uptime_seconds": time.time() - self.started_at,
             "queue_depth": self._queue.qsize(),
             "capacity": self.config.capacity,
             "workers": len(self._shards) or self.config.workers,
             "shards": [shard.describe() for shard in self._shards],
-            "jobs": self._store.counts(),
+            "jobs": self.jobs.counts(),
             "sessions": self.sessions.counts(),
             "explorations": self.explorations.counts(),
         }
@@ -470,8 +510,7 @@ class PlacementService:
         """
         from .. import api
 
-        if not isinstance(request, dict):
-            raise ValueError(f"request must be a dict, got {type(request).__name__}")
+        ResourceManager.validate(request, _REQUEST_KEYS)
         design = request.get("design")
         if not isinstance(design, str) or not design:
             raise ValueError("request needs a 'design' benchmark name")
@@ -485,15 +524,7 @@ class PlacementService:
             timeout = float(timeout)
             if timeout <= 0:
                 raise ValueError("request 'timeout' must be positive")
-        priority = request.get("priority", 0)
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ValueError("request 'priority' must be an int")
-        client_id = request.get("client_id", "default")
-        if not isinstance(client_id, str) or not client_id:
-            raise ValueError("request 'client_id' must be a non-empty string")
-        unknown = set(request) - _REQUEST_KEYS
-        if unknown:
-            raise ValueError(f"unknown request keys: {sorted(unknown)}")
+        priority, client_id = scheduling_hints(request, "default")
         normalized = {
             "design": design,
             "flow": flow,
@@ -504,15 +535,12 @@ class PlacementService:
 
     def _admit(self, normalized: dict, key: str, timeout, client_id: str,
                priority: int) -> Job:
-        """Create a job plus its events/waiters bookkeeping."""
-        job = self._store.create(
-            normalized, key=key, timeout=timeout,
-            client_id=client_id, priority=priority,
-        )
-        self._done_events[job.id] = asyncio.Event()
+        """Register a fresh ``queued`` job plus its cancel bookkeeping."""
+        job = self.jobs.add(Job(
+            id=self.jobs.new_id(), request=normalized, key=key,
+            timeout=timeout, client_id=client_id, priority=priority,
+        ))
         self._cancel_events[job.id] = asyncio.Event()
-        self._events.register(job.id)
-        self._events.publish(job.id, "state", state=QUEUED)
         self.counts["submitted"] += 1
         obs.counter("serve/submitted").inc()
         return job
@@ -522,17 +550,13 @@ class PlacementService:
 
     def _finish(self, job: Job, state: str, result=None, error=None,
                 cache_hit: bool = False) -> None:
-        job.transition(state)
-        job.result = result
-        job.error = error
-        job.cache_hit = cache_hit
+        self.jobs.transition(job, state, result=result, error=error,
+                             cache_hit=cache_hit)
         self.counts[state] += 1
         obs.counter(f"serve/{state}").inc()
         if cache_hit:
             self.counts["cache_hits"] += 1
             obs.counter("serve/cache_hit").inc()
-        self._events.publish(job.id, "state", state=state)
-        self._done_events[job.id].set()
         if self._primary.get(job.key) == job.id:
             del self._primary[job.key]
             self._settle_followers(job)
@@ -548,7 +572,7 @@ class PlacementService:
         """
         followers = self._followers.pop(primary.id, [])
         pending = [
-            job for job in (self._store.get(fid) for fid in followers)
+            job for job in (self.jobs.get(fid) for fid in followers)
             if not job.terminal
         ]
         if not pending:
@@ -557,7 +581,7 @@ class PlacementService:
             for job in pending:
                 self._finish(job, DONE, result=primary.result)
             return
-        if self._draining or self._queue.full():
+        if self.jobs.draining or self._queue.full():
             for job in pending:
                 self._finish(
                     job, CANCELLED,
@@ -586,8 +610,7 @@ class PlacementService:
                 self._queue.task_done()
 
     async def _run_job(self, job: Job, shard: ProcessShard | None = None) -> None:
-        job.transition(RUNNING)
-        self._events.publish(job.id, "state", state=RUNNING)
+        self.jobs.transition(job, RUNNING)
         if shard is not None:
             job.shard = shard.index
         cancel_event = self._cancel_events[job.id]
@@ -687,18 +710,17 @@ class PlacementService:
     async def _pump_progress(self, job: Job, path: str) -> None:
         """Poll the job's progress file into its event stream.
 
-        Sleeps in ``progress_poll`` slices but wakes immediately on the
-        job's done event, so a finished job never waits out a poll
-        interval before its worker slot frees up.
+        Sleeps in ``progress_poll`` slices but wakes immediately when the
+        job settles, so a finished job never waits out a poll interval
+        before its worker slot frees up.
         """
-        done = self._done_events[job.id]
         offset = 0
         try:
             while not job.terminal:
                 offset = self._publish_progress(job, path, offset)
                 try:
-                    await asyncio.wait_for(done.wait(), self.config.progress_poll)
-                except asyncio.TimeoutError:
+                    await self.jobs.wait(job.id, self.config.progress_poll)
+                except TimeoutError:
                     pass
             self._publish_progress(job, path, offset)
         finally:
@@ -710,7 +732,7 @@ class PlacementService:
     def _publish_progress(self, job: Job, path: str, offset: int) -> int:
         samples, offset = read_new_progress(path, offset)
         for sample in samples:
-            self._events.publish(job.id, "progress", progress=sample)
+            self.jobs.publish(job.id, "progress", progress=sample)
             obs.counter("serve/progress_events").inc()
         return offset
 

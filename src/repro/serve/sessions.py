@@ -4,8 +4,8 @@ A session owns a converged :class:`repro.eco.EcoSession` and accepts
 incremental deltas keyed to it.  The lifecycle::
 
     initializing ──► ready ⇄ busy ──► closed
-          │                    │
-          └──────► failed ◄────┘
+          │                    │        ▲
+          └──────► failed ◄────┘ ───────┘
 
 The cold start runs in a worker thread while the session reports
 ``initializing``; deltas submitted to a session are applied strictly in
@@ -24,50 +24,25 @@ import time
 
 from .. import obs
 from ..schema import SchemaError
-from .jobs import QueueFullError, ServeError, ServiceClosedError
+from .resources import (
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    QueueFullError,
+    Resource,
+    ResourceManager,
+    ResourceStateError,
+)
 
-#: Session lifecycle states.
+#: Session lifecycle states (plus the shared ``failed``).
 INITIALIZING = "initializing"
 READY = "ready"
 BUSY = "busy"
-FAILED = "failed"
 CLOSED = "closed"
 
-SESSION_STATES = (INITIALIZING, READY, BUSY, FAILED, CLOSED)
-
-#: Delta lifecycle states (a subset of the job lifecycle).
-DELTA_QUEUED = "queued"
-DELTA_RUNNING = "running"
-DELTA_DONE = "done"
-DELTA_FAILED = "failed"
-
-
-class UnknownSessionError(ServeError, KeyError):
-    """A session id with no entry in the manager."""
-
-    def __init__(self, session_id: str, message: str | None = None) -> None:
-        self.session_id = session_id
-        self._message = message or f"unknown session {session_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        return self._message
-
-
-class UnknownDeltaError(ServeError, KeyError):
-    """A delta id with no entry in its session."""
-
-    def __init__(self, delta_id: str, message: str | None = None) -> None:
-        self.delta_id = delta_id
-        self._message = message or f"unknown delta {delta_id!r}"
-        super().__init__(self._message)
-
-    def __str__(self) -> str:
-        return self._message
-
-
-class SessionStateError(ServeError):
-    """An operation a session's current state does not allow."""
+#: Request keys accepted by ``POST /v1/sessions``.
+_SESSION_KEYS = frozenset({"design", "config", "eco", "verify"})
 
 
 def build_engine(request: dict):
@@ -81,42 +56,45 @@ def build_engine(request: dict):
     return EcoSession(request["design"], config=config, eco=eco)
 
 
-class DeltaJob:
+class DeltaJob(Resource):
     """One submitted delta and its lifecycle within a session."""
+
+    kind = "delta"
+    path = "deltas"
+    TRANSITIONS = {
+        QUEUED: frozenset({RUNNING, FAILED}),
+        RUNNING: frozenset({DONE, FAILED}),
+        DONE: frozenset(),
+        FAILED: frozenset(),
+    }
+    WIRE = ("id", "session", "state", "delta", "result", "error",
+            "submitted_at", "finished_at")
 
     def __init__(self, delta_id: str, session_id: str, payload: dict) -> None:
         self.id = delta_id
-        self.session = session_id
-        self.payload = payload
-        self.state = DELTA_QUEUED
+        self.session = self.parent = session_id
+        self.delta = payload
+        self.state = QUEUED
         self.result: dict | None = None
         self.error: str | None = None
         self.submitted_at = time.time()
-        self.finished_at: float | None = None
-        self.done_event = asyncio.Event()
-
-    def finish(self, state: str, result=None, error=None) -> None:
-        self.state = state
-        self.result = result
-        self.error = error
-        self.finished_at = time.time()
-        self.done_event.set()
-
-    def to_wire(self) -> dict:
-        return {
-            "id": self.id,
-            "session": self.session,
-            "state": self.state,
-            "delta": self.payload,
-            "result": self.result,
-            "error": self.error,
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-        }
 
 
-class Session:
+class Session(Resource):
     """One live ECO session: engine + delta history + serialization lock."""
+
+    kind = "session"
+    path = "sessions"
+    prefix = "sess"
+    TRANSITIONS = {
+        INITIALIZING: frozenset({READY, FAILED, CLOSED}),
+        READY: frozenset({BUSY, CLOSED}),
+        BUSY: frozenset({READY, FAILED, CLOSED}),
+        FAILED: frozenset({CLOSED}),
+        CLOSED: frozenset(),
+    }
+    #: ``wait`` returns once the cold start is over (ready or failed).
+    PENDING = frozenset({INITIALIZING})
 
     def __init__(self, session_id: str, request: dict, engine) -> None:
         self.id = session_id
@@ -125,10 +103,9 @@ class Session:
         self.state = INITIALIZING
         self.error: str | None = None
         self.baseline: dict | None = None
-        self.deltas: dict = {}
+        self.deltas: list = []
         self.created_at = time.time()
         self.lock = asyncio.Lock()
-        self.ready_event = asyncio.Event()
         self._delta_ids = itertools.count(1)
 
     @property
@@ -146,13 +123,23 @@ class Session:
             "request": self.request,
             "version": getattr(self.engine, "version", -1),
             "baseline": self.baseline,
-            "deltas": [d.to_wire() for d in self.deltas.values()],
+            "deltas": [d.to_wire() for d in self.deltas],
             "error": self.error,
             "created_at": self.created_at,
         }
 
 
-class SessionManager:
+class DeltaManager(ResourceManager):
+    """Every session's deltas (``/v1/sessions/<id>/deltas``)."""
+
+    def __init__(self, sessions: "SessionManager") -> None:
+        super().__init__(DeltaJob, parent=sessions)
+
+    def create(self, payload: dict, session_id: str) -> DeltaJob:
+        return self.parent.submit_delta(session_id, payload)
+
+
+class SessionManager(ResourceManager):
     """Owns every session; serializes each session's work on the loop.
 
     Args:
@@ -166,13 +153,11 @@ class SessionManager:
 
     def __init__(self, engine_factory=None, max_pending: int = 16,
                  retry_after: float = 0.5) -> None:
+        super().__init__(Session)
+        self.deltas = DeltaManager(self)
         self._factory = engine_factory or build_engine
-        self._sessions: dict = {}
-        self._ids = itertools.count(1)
-        self._tasks: set = set()
         self.max_pending = max_pending
         self.retry_after = retry_after
-        self.draining = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -187,58 +172,33 @@ class SessionManager:
         (checker level applied to every delta, default ``"cheap"``).
         """
         with obs.span("serve/session", op="create"):
-            if self.draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting sessions"
-                )
+            self.check_open()
             normalized = self._normalize(request)
             engine = self._factory(normalized)
-            session = Session(f"sess-{next(self._ids)}", normalized, engine)
-            self._sessions[session.id] = session
+            session = self.add(Session(self.new_id(), normalized, engine))
             obs.counter("eco/sessions").inc()
-            self._spawn(self._initialize(session))
+            self.spawn(self._initialize(session))
             return session
 
-    def get(self, session_id: str) -> Session:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise UnknownSessionError(session_id) from None
-
-    def sessions(self) -> list:
-        """All sessions in creation order."""
-        return list(self._sessions.values())
-
-    def counts(self) -> dict:
-        """``state -> count`` over every session state (zeros included)."""
-        counts = dict.fromkeys(SESSION_STATES, 0)
-        for session in self._sessions.values():
-            counts[session.state] += 1
-        return counts
-
-    def close(self, session_id: str) -> Session:
+    def delete(self, session_id: str) -> Session:
         """Release a session's retained state (idempotent)."""
         session = self.get(session_id)
         if session.state != CLOSED:
-            session.state = CLOSED
-            session.ready_event.set()
+            self.transition(session, CLOSED)
             close = getattr(session.engine, "close", None)
             if close is not None:
                 close()
             obs.counter("eco/sessions_closed").inc()
         return session
 
+    close = delete
+    wait_ready = ResourceManager.wait
+
     def close_all(self) -> None:
         """Drain-time GC: close every session and refuse new ones."""
-        self.draining = True
-        for session_id in list(self._sessions):
+        self.draining = self.deltas.draining = True
+        for session_id in list(self._items):
             self.close(session_id)
-
-    async def wait_ready(self, session_id: str, timeout: float | None = None) -> Session:
-        """Await the end of initialization (ready or failed)."""
-        session = self.get(session_id)
-        await asyncio.wait_for(session.ready_event.wait(), timeout)
-        return session
 
     # ------------------------------------------------------------------
     # Deltas
@@ -248,68 +208,52 @@ class SessionManager:
         """Queue one delta payload against a session.
 
         Raises:
-            UnknownSessionError: no such session.
-            SessionStateError: the session is closed or failed.
+            UnknownResourceError: no such session.
+            ResourceStateError: the session is closed or failed.
             QueueFullError: too many deltas already pending.
             repro.schema.SchemaError: an invalid delta payload.
         """
         with obs.span("serve/session", op="delta", session=session_id):
-            if self.draining:
-                raise ServiceClosedError(
-                    "service is draining; not accepting deltas"
-                )
+            self.deltas.check_open()
             session = self.get(session_id)
             if not session.open:
-                raise SessionStateError(
-                    f"session {session_id} is {session.state}"
+                raise ResourceStateError(
+                    "session", f"session {session_id} is {session.state}"
                 )
             from ..eco import delta_from_dict
 
             delta_from_dict(payload)  # boundary validation; raises SchemaError
-            pending = sum(
-                1 for d in session.deltas.values() if d.state == DELTA_QUEUED
-            )
+            pending = sum(1 for d in session.deltas if d.state == QUEUED)
             if pending >= self.max_pending:
                 raise QueueFullError(self.max_pending, self.retry_after)
             delta = DeltaJob(session.next_delta_id(), session.id, dict(payload))
-            session.deltas[delta.id] = delta
-            self._spawn(self._apply(session, delta))
+            session.deltas.append(self.deltas.add(delta))
+            self.spawn(self._apply(session, delta))
             return delta
 
     def delta(self, session_id: str, delta_id: str) -> DeltaJob:
-        session = self.get(session_id)
-        try:
-            return session.deltas[delta_id]
-        except KeyError:
-            raise UnknownDeltaError(delta_id) from None
+        """The delta ``delta_id`` of session ``session_id``."""
+        self.get(session_id)
+        return self.deltas.get(delta_id, session_id)
 
     async def wait_delta(self, session_id: str, delta_id: str,
                          timeout: float | None = None) -> DeltaJob:
         """Await a delta's terminal state and return it."""
-        delta = self.delta(session_id, delta_id)
-        await asyncio.wait_for(delta.done_event.wait(), timeout)
-        return delta
+        return await self.deltas.wait(self.delta(session_id, delta_id).id, timeout)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _normalize(request: dict) -> dict:
+    def _normalize(self, request: dict) -> dict:
         from ..api import RunConfig
         from ..eco import EcoParams
         from ..verify import LEVELS
 
-        if not isinstance(request, dict):
-            raise ValueError(
-                f"session request must be a dict, got {type(request).__name__}"
-            )
+        self.validate(request, _SESSION_KEYS, what="session request")
         design = request.get("design")
         if not isinstance(design, str) or not design:
             raise ValueError("session request needs a 'design' benchmark name")
-        unknown = set(request) - {"design", "config", "eco", "verify"}
-        if unknown:
-            raise ValueError(f"unknown session request keys: {sorted(unknown)}")
         config = RunConfig.from_dict(request.get("config") or {})
         eco = EcoParams.from_dict(request.get("eco") or {})
         verify = request.get("verify", "cheap")
@@ -324,11 +268,6 @@ class SessionManager:
             "verify": verify,
         }
 
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     async def _initialize(self, session: Session) -> None:
         loop = asyncio.get_running_loop()
         async with session.lock:
@@ -338,43 +277,42 @@ class SessionManager:
                 result = await loop.run_in_executor(None, session.engine.start)
             except BaseException as exc:
                 if session.state != CLOSED:
-                    session.state = FAILED
-                    session.error = f"{type(exc).__name__}: {exc}"
+                    self.transition(session, FAILED,
+                                    error=f"{type(exc).__name__}: {exc}")
                     obs.counter("eco/sessions_failed").inc()
             else:
                 session.baseline = result.to_summary()
                 if session.state == INITIALIZING:
-                    session.state = READY
-            finally:
-                session.ready_event.set()
+                    self.transition(session, READY)
 
     async def _apply(self, session: Session, delta: DeltaJob) -> None:
         loop = asyncio.get_running_loop()
         async with session.lock:
             if not session.open:
-                delta.finish(DELTA_FAILED,
-                             error=f"session {session.id} is {session.state}")
+                self.deltas.transition(
+                    delta, FAILED, error=f"session {session.id} is {session.state}"
+                )
                 return
-            delta.state = DELTA_RUNNING
-            was = session.state
-            session.state = BUSY
+            self.deltas.transition(delta, RUNNING)
+            self.transition(session, BUSY)
             verify = session.request.get("verify", "cheap")
             try:
                 result = await loop.run_in_executor(
-                    None, lambda: session.engine.apply(delta.payload, verify=verify)
+                    None, lambda: session.engine.apply(delta.delta, verify=verify)
                 )
             except (SchemaError, ValueError, TypeError, RuntimeError) as exc:
                 # A bad delta fails the delta, not the session.
-                delta.finish(DELTA_FAILED, error=f"{type(exc).__name__}: {exc}")
+                self.deltas.transition(delta, FAILED,
+                                       error=f"{type(exc).__name__}: {exc}")
                 if session.state == BUSY:
-                    session.state = was
+                    self.transition(session, READY)
             except BaseException as exc:
-                delta.finish(DELTA_FAILED, error=f"{type(exc).__name__}: {exc}")
+                error = f"{type(exc).__name__}: {exc}"
+                self.deltas.transition(delta, FAILED, error=error)
                 if session.state == BUSY:
-                    session.state = FAILED
-                    session.error = f"{type(exc).__name__}: {exc}"
+                    self.transition(session, FAILED, error=error)
             else:
-                delta.finish(DELTA_DONE, result=result.to_summary())
+                self.deltas.transition(delta, DONE, result=result.to_summary())
                 obs.counter("eco/deltas_applied").inc()
                 if session.state == BUSY:
-                    session.state = READY
+                    self.transition(session, READY)

@@ -144,12 +144,6 @@ class TestRouteResult:
             routed.route_report.total_overflow
         )
 
-    def test_old_return_shape_shims_with_deprecation(self, routed):
-        with pytest.warns(DeprecationWarning, match="route_report"):
-            assert routed.hof == routed.route_report.hof
-        with pytest.warns(DeprecationWarning):
-            assert "HOF" in routed.summary()
-
     def test_missing_attribute_still_raises(self, routed):
         with pytest.raises(AttributeError):
             routed.not_a_metric
@@ -190,10 +184,10 @@ class TestExploreSeedNaming:
         assert api.explore("OR1200", seed=11) == "report"
         assert capture_exploration["rng"] == 11
 
-    def test_rng_keyword_deprecated_but_works(self, capture_exploration):
-        with pytest.warns(DeprecationWarning, match="seed="):
+    def test_rng_keyword_is_a_type_error(self, capture_exploration):
+        with pytest.raises(TypeError, match="rng"):
             api.explore("OR1200", rng=13)
-        assert capture_exploration["rng"] == 13
+        assert capture_exploration == {}
 
     def test_default_seed_matches_old_rng_default(self, capture_exploration):
         api.explore("OR1200")

@@ -34,11 +34,10 @@ from repro.serve import (
     PlacementService,
     QueueFullError,
     ServiceClosedError,
+    ResourceStateError,
     ServiceConfig,
     SessionManager,
-    SessionStateError,
-    UnknownDeltaError,
-    UnknownSessionError,
+    UnknownResourceError,
 )
 
 SCALE = 0.002
@@ -355,7 +354,7 @@ class TestSessionManager:
             assert session.state == "closed"
             assert engines[0].closed
             manager.close(session.id)  # idempotent
-            with pytest.raises(SessionStateError):
+            with pytest.raises(ResourceStateError):
                 manager.submit_delta(session.id, RESIZE)
 
         run_async(main())
@@ -363,11 +362,11 @@ class TestSessionManager:
     def test_unknown_ids(self):
         async def main():
             manager, _ = make_manager()
-            with pytest.raises(UnknownSessionError):
+            with pytest.raises(UnknownResourceError):
                 manager.get("sess-404")
             session = manager.create({"design": "OR1200"})
             await manager.wait_ready(session.id, timeout=10)
-            with pytest.raises(UnknownDeltaError):
+            with pytest.raises(UnknownResourceError):
                 manager.delta(session.id, "sess-1-d404")
 
         run_async(main())
@@ -414,7 +413,7 @@ class TestSessionManager:
             session = await manager.wait_ready(session.id, timeout=10)
             assert session.state == "failed"
             assert "disk gone" in session.error
-            with pytest.raises(SessionStateError):
+            with pytest.raises(ResourceStateError):
                 manager.submit_delta(session.id, RESIZE)
 
         run_async(main())
@@ -522,25 +521,23 @@ class TestHttpSessions:
         return HttpServiceClient(*box["addr"]), box, shutdown
 
     def test_full_session_roundtrip_over_http(self):
-        from repro.serve import JobStateError, UnknownJobError
-
         client, box, shutdown = self.serve_in_thread()
         try:
             session = client.create_session(
                 "OR1200", config=api.RunConfig(scale=SCALE), verify="cheap"
             )
             assert session["state"] in ("initializing", "ready")
-            session = client.wait_session(session["id"], timeout=10, poll=0.02)
+            session = client.wait_session(session["id"], timeout=10)
             assert session["state"] == "ready"
             assert session["baseline"]["hpwl"] == 100.0
             assert session["version"] == 0
 
             result = client.apply_delta(session["id"], RESIZE,
-                                        wait_timeout=10, poll=0.02)
+                                        wait_timeout=10)
             assert result["version"] == 1
             result = client.apply_delta(
                 session["id"], ResizeCell(cell=2, width=5.0),
-                wait_timeout=10, poll=0.02,
+                wait_timeout=10,
             )
             assert result["version"] == 2
 
@@ -550,13 +547,15 @@ class TestHttpSessions:
 
             with pytest.raises(ValueError, match="kind"):
                 client.submit_delta(session["id"], {"kind": "warp_core"})
-            with pytest.raises(UnknownJobError):
+            with pytest.raises(UnknownResourceError) as unknown:
                 client.session("sess-404")
+            assert unknown.value.kind == "session"
 
             closed = client.close_session(session["id"])
             assert closed["state"] == "closed"
-            with pytest.raises(JobStateError):
+            with pytest.raises(ResourceStateError) as conflict:
                 client.submit_delta(session["id"], RESIZE)
+            assert conflict.value.kind == "session"
         finally:
             shutdown()
 
@@ -564,7 +563,7 @@ class TestHttpSessions:
         client, box, shutdown = self.serve_in_thread()
         try:
             session = client.create_session("OR1200")
-            client.wait_session(session["id"], timeout=10, poll=0.02)
+            client.wait_session(session["id"], timeout=10)
             future = asyncio.run_coroutine_threadsafe(
                 box["service"].drain(), box["loop"]
             )

@@ -19,14 +19,14 @@ from repro.serve import (
     HttpServiceClient,
     Job,
     JobFailedError,
-    JobStateError,
-    JobStore,
     PlacementService,
     QueueFullError,
+    ResourceManager,
+    ResourceStateError,
     ServiceClient,
     ServiceConfig,
     ServiceClosedError,
-    UnknownJobError,
+    UnknownResourceError,
     execute_request,
     make_request,
 )
@@ -67,32 +67,32 @@ class TestJobLifecycle:
         job.transition(RUNNING if terminal != DONE else DONE)
         if terminal != DONE:
             job.transition(terminal)
-        with pytest.raises(JobStateError):
+        with pytest.raises(ResourceStateError):
             job.transition(RUNNING)
 
     def test_queued_cannot_fail_directly(self):
         job = Job(id="job-1", request={}, key="k")
-        with pytest.raises(JobStateError):
+        with pytest.raises(ResourceStateError):
             job.transition(FAILED)
 
     def test_unknown_state_rejected(self):
         job = Job(id="job-1", request={}, key="k")
-        with pytest.raises(JobStateError):
+        with pytest.raises(ResourceStateError):
             job.transition("exploded")
 
     def test_store_counts_and_order(self):
-        store = JobStore()
-        a = store.create({"n": 1}, key="ka")
-        b = store.create({"n": 2}, key="kb")
-        assert [j.id for j in store.jobs()] == [a.id, b.id]
-        a.transition(RUNNING)
+        store = ResourceManager(Job)
+        a = store.add(Job(id=store.new_id(), request={"n": 1}, key="ka"))
+        b = store.add(Job(id=store.new_id(), request={"n": 2}, key="kb"))
+        assert [j.id for j in store.list()] == [a.id, b.id]
+        store.transition(a, RUNNING)
         assert store.counts()[RUNNING] == 1
         assert store.counts()[QUEUED] == 1
-        assert [j.id for j in store.jobs(state=QUEUED)] == [b.id]
+        assert [j.id for j in store.list(state=QUEUED)] == [b.id]
 
     def test_store_unknown_id(self):
-        with pytest.raises(UnknownJobError):
-            JobStore().get("job-404")
+        with pytest.raises(UnknownResourceError):
+            ResourceManager(Job).get("job-404")
 
     def test_wire_dict_is_json_safe(self):
         job = Job(id="job-1", request={"design": "OR1200"}, key="k")
@@ -193,7 +193,7 @@ class TestServiceLifecycle:
             service = await make_service(quick_runner).start()
             job = service.submit(make_request("OR1200"))
             await service.wait(job.id, timeout=10)
-            with pytest.raises(JobStateError):
+            with pytest.raises(ResourceStateError):
                 service.cancel(job.id)
             await service.stop()
 
@@ -387,7 +387,7 @@ class TestEventStream:
     def test_events_unknown_job(self):
         async def main():
             service = await make_service(quick_runner).start()
-            with pytest.raises(UnknownJobError):
+            with pytest.raises(UnknownResourceError):
                 service.events("job-404")
             await service.stop()
 
@@ -719,7 +719,7 @@ class TestHttpEndpoints:
 
             job = client.submit("OR1200", config=api.RunConfig(scale=0.002))
             assert job["state"] in ("queued", "running", "done")
-            job = client.wait(job["id"], timeout=10, poll=0.02)
+            job = client.wait(job["id"], timeout=10)
             assert job["state"] == "done"
             assert job["result"]["hpwl"] == 42.0
 
@@ -744,7 +744,7 @@ class TestHttpEndpoints:
             slow, ServiceConfig(workers=1, capacity=1)
         )
         try:
-            with pytest.raises(UnknownJobError):
+            with pytest.raises(UnknownResourceError):
                 client.status("job-404")
             with pytest.raises(ValueError, match="flow"):
                 client.submit("OR1200", flow="bogus")
@@ -760,9 +760,9 @@ class TestHttpEndpoints:
             cancelled = client.cancel(second["id"])
             assert cancelled["state"] == "cancelled"
             release.set()
-            done = client.wait(first["id"], timeout=10, poll=0.02)
+            done = client.wait(first["id"], timeout=10)
             assert done["state"] == "done"
-            with pytest.raises(JobStateError):
+            with pytest.raises(ResourceStateError):
                 client.cancel(first["id"])
         finally:
             shutdown()
@@ -774,7 +774,7 @@ class TestHttpEndpoints:
         client, shutdown = self.serve_in_thread(broken)
         try:
             with pytest.raises(JobFailedError, match="kaboom"):
-                client.run("OR1200", wait_timeout=10, poll=0.02)
+                client.run("OR1200", wait_timeout=10)
         finally:
             shutdown()
 
@@ -792,7 +792,7 @@ class TestHttpEndpoints:
             assert [e.seq for e in replay] == [e.seq for e in events]
             # ...and `after` resumes past a cursor.
             assert client.events(job["id"], after=events[-1].seq) == []
-            with pytest.raises(UnknownJobError):
+            with pytest.raises(UnknownResourceError):
                 client.events("job-404")
         finally:
             shutdown()
@@ -943,11 +943,11 @@ class TestHttpDrainAndCancellation:
             cancelled = client.cancel(queued["id"])
             assert cancelled["state"] == "cancelled"
             # Cancelling a terminal job is a 409 conflict, not a retry.
-            with pytest.raises(JobStateError):
+            with pytest.raises(ResourceStateError):
                 client.cancel(queued["id"])
 
             release.set()
-            done = client.wait(running["id"], timeout=10, poll=0.02)
+            done = client.wait(running["id"], timeout=10)
             assert done["state"] == "done"
             # The cancelled job never ran: no result, state preserved.
             assert client.status(queued["id"])["state"] == "cancelled"

@@ -24,10 +24,10 @@ from repro.runtime import ArtifactCache, Journal
 from repro.serve import (
     DistributedEvaluator,
     ExplorationCancelledError,
-    ExplorationStateError,
     LocalServiceHost,
+    ResourceStateError,
     ServiceConfig,
-    UnknownExplorationError,
+    UnknownResourceError,
 )
 from repro.tpe import Space, TransferPriors, Uniform, design_features
 
@@ -226,7 +226,7 @@ class TestExplorationManager:
         with LocalServiceHost(
             ServiceConfig(workers=1), runner=_explore_runner
         ) as host:
-            with pytest.raises(UnknownExplorationError):
+            with pytest.raises(UnknownResourceError):
                 _on_loop(host, host.client.exploration, "explore-404")
             config = api.ExploreConfig(budget=2, priors="off")
             exploration = _on_loop(host, host.client.create_exploration, config)
@@ -246,9 +246,9 @@ class TestExplorationManager:
             assert final.state == "cancelled"
             # A report never exists for a cancelled exploration, and a
             # second cancel is an explicit state error.
-            with pytest.raises(ExplorationStateError):
+            with pytest.raises(ResourceStateError):
                 _on_loop(host, host.client.exploration_report, exploration.id)
-            with pytest.raises(ExplorationStateError):
+            with pytest.raises(ResourceStateError):
                 _on_loop(host, host.client.cancel_exploration, exploration.id)
 
     def test_create_validates_request(self):
