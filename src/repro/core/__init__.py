@@ -9,7 +9,7 @@ from .congestion import (
     EstimatorParams,
     combine_congestion,
 )
-from .demand import DemandResult, ISegment, NetTopology, accumulate_demand, build_topologies
+from .demand import DemandResult, TopologyBatch, accumulate_demand, build_topologies
 from .expansion import ExpansionParams, expand_demand
 from .features import FEATURE_NAMES, FeatureExtractor, FeatureParams, FeatureSet
 from .optimizer import RoundEvent, RoutabilityOptimizer
@@ -30,8 +30,6 @@ __all__ = [
     "FeatureParams",
     "FeatureSet",
     "FlowEvent",
-    "ISegment",
-    "NetTopology",
     "PARAM_GROUPS",
     "PaddingEngine",
     "PaddingRound",
@@ -41,6 +39,7 @@ __all__ = [
     "RoundEvent",
     "RoutabilityOptimizer",
     "StrategyParams",
+    "TopologyBatch",
     "accumulate_demand",
     "build_topologies",
     "combine_congestion",

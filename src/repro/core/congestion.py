@@ -87,8 +87,8 @@ class CongestionEstimator:
         """Estimate congestion at the design's current placement.
 
         Returns:
-            ``(congestion_map, topologies, demand_result)`` — topologies
-            and the raw demand are reused by the feature extractor.
+            ``(congestion_map, topologies, demand_result)`` — the
+            ``TopologyBatch`` and raw demand feed the feature extractor.
         """
         with obs.span("congestion/estimate") as est_span:
             grid = self.grid

@@ -10,144 +10,108 @@ pin penalty captures the demand of local nets whose pins share a Gcell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import kernels, obs
 from ..netlist.design import Design
 from ..router.grid import RoutingGrid
-from ..rsmt import build_rsmt_batch
+from ..router.router import pin_flat_indices
+from ..rsmt.batch import TopologyBatch, csr_ranges, gcell_rsmt_batch, net_gcells
 
 
-@dataclass
-class NetTopology:
-    """RSMT decomposition of one net on the Gcell grid.
+@dataclass(eq=False)
+class StraightSegments:
+    """The straight two-point nets in edge order, one array per field:
+    the units the detour expansion acts on.
 
-    Attributes:
-        net: net index in the design.
-        gx, gy: integer Gcell coordinates of the tree points.
-        is_pin: per-point flag (``False`` for Steiner points).
-        edges: ``(k, 2)`` point-index pairs (the two-point nets).
-        point_of: map from a pin Gcell ``(gx, gy)`` to its point index.
+    ``horizontal`` segments run along x at row ``fixed`` (vertical ones
+    along y at column ``fixed``) from ``lo`` to ``hi >= lo``.  Steiner
+    endpoints (``*_is_pin`` false) receive extra perpendicular detour
+    demand when the segment is expanded; pins do not (cells can move).
     """
 
-    net: int
-    gx: np.ndarray
-    gy: np.ndarray
-    is_pin: np.ndarray
-    edges: np.ndarray
-    point_of: dict = field(default_factory=dict)
+    horizontal: np.ndarray
+    fixed: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_is_pin: np.ndarray
+    hi_is_pin: np.ndarray
 
-
-@dataclass
-class ISegment:
-    """A straight two-point net, the unit the detour expansion acts on.
-
-    ``horizontal`` runs along x at row ``fixed``; endpoints at
-    ``lo <= hi``.  ``lo_is_pin`` / ``hi_is_pin`` record the endpoint kinds
-    (Steiner endpoints receive extra perpendicular detour demand when the
-    segment is expanded; pins do not, because cells can move).
-    """
-
-    horizontal: bool
-    fixed: int
-    lo: int
-    hi: int
-    lo_is_pin: bool
-    hi_is_pin: bool
+    def __len__(self) -> int:
+        return len(self.horizontal)
 
 
 def build_topologies(
     design: Design, grid: RoutingGrid, cache: dict | None = None
-) -> list:
-    """Per-net RSMT topologies at the current placement.
+) -> TopologyBatch:
+    """RSMT topologies of every multi-Gcell net at the current placement.
 
     Args:
         design: the placed design.
         grid: the Gcell grid.
-        cache: optional per-net memo ``net -> (key, NetTopology)``.  Nets
-            whose pin Gcells did not move since the cached round reuse
-            their topology — between consecutive padding rounds most
-            nets qualify, which makes repeated estimation cheap.
+        cache: optional memo across calls (the latest tree of every net
+            built so far).  Nets whose pin Gcells did not move since then
+            reuse their topology — between consecutive padding rounds
+            most nets qualify, which makes repeated estimation cheap.
     """
     with obs.span("congestion/topologies") as span:
-        px, py = design.pin_positions()
-        pgx, pgy = grid.gcell_of(px, py)
-        flat = pgx * grid.ny + pgy
-        m = design.num_nets
-        # Per-net Gcell dedup in one global sort: composite keys
-        # (net, gcell) sort duplicates together, so each net's unique
-        # Gcells come out as a contiguous ascending run — the same
-        # values the historical per-net ``np.unique`` produced.
-        deg = np.diff(design.net_start)
-        net_of = np.repeat(np.arange(m, dtype=np.int64), deg)
-        span_sz = np.int64(grid.nx) * np.int64(grid.ny)
-        skey = np.sort(net_of * span_sz + flat[design.net_pins])
-        keep = np.ones(len(skey), dtype=bool)
-        keep[1:] = skey[1:] != skey[:-1]
-        ukey = skey[keep]
-        unet = ukey // span_sz
-        ucell = ukey % span_sz
-        counts = np.bincount(unet, minlength=m)
-        ustart = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=ustart[1:])
+        ustart, ucell = net_gcells(
+            pin_flat_indices(design, grid), design.net_start, design.net_pins,
+            np.arange(design.num_nets), grid.nx * grid.ny,
+        )
+        counts = np.diff(ustart)
         # Nets with < 2 distinct Gcells are local: pin penalty only.
         eligible = np.flatnonzero(counts >= 2)
 
-        reused = 0
-        slots = []  # (net, cached NetTopology | None, cells.tobytes())
-        pending = []
-        for net in eligible.tolist():
-            cells = ucell[ustart[net] : ustart[net + 1]]
-            key = cells.tobytes()
-            if cache is not None:
-                hit = cache.get(net)
-                if hit is not None and hit[0] == key:
-                    slots.append((net, hit[1], key))
-                    reused += 1
-                    continue
-            pending.append(net)
-            slots.append((net, None, key))
+        cache = {} if cache is None else cache
+        store = cache.get("batch")
+        if store is None:
+            store = gcell_rsmt_batch(ustart, ucell, eligible[:0], grid.ny)
+        fresh = np.ones(len(eligible), dtype=bool)
+        slot = np.zeros(len(eligible), dtype=np.int64)
+        if len(store):
+            # The memo holds the latest tree of every net built so far, by
+            # net.  A tree starts with its pins — the net's sorted distinct
+            # Gcells when it was built — so reuse it when those match.
+            slot = np.minimum(np.searchsorted(store.net, eligible), len(store) - 1)
+            pins = np.concatenate(([0], np.cumsum(store.is_pin)))[store.point_start]
+            cand = np.flatnonzero(
+                (store.net[slot] == eligible) & (np.diff(pins)[slot] == counts[eligible])
+            )
+            nets = eligible[cand]
+            _, cur = csr_ranges(ustart[nets], counts[nets])
+            _, old = csr_ranges(store.point_start[slot[cand]], counts[nets])
+            moved = np.bincount(
+                np.repeat(np.arange(len(cand)), counts[nets]),
+                weights=ucell[cur] != store.gx[old] * grid.ny + store.gy[old],
+                minlength=len(cand),
+            )
+            fresh[cand[moved == 0]] = False
 
-        built = []
-        if pending:
-            pend = np.asarray(pending, dtype=np.int64)
-            lens = counts[pend]
-            bstart = np.zeros(len(pend) + 1, dtype=np.int64)
-            np.cumsum(lens, out=bstart[1:])
-            gather = np.repeat(ustart[pend] - bstart[:-1], lens) + np.arange(
-                bstart[-1]
-            )
-            cells_sel = ucell[gather]
-            built = build_rsmt_batch(
-                (cells_sel // grid.ny).astype(np.float64),
-                (cells_sel % grid.ny).astype(np.float64),
-                bstart,
-            )
+        built = gcell_rsmt_batch(ustart, ucell, eligible[fresh], grid.ny)
+        # Both sources in one batch, then gathers in net order: this
+        # round's batch, and the memo (stored trees not rebuilt + new ones).
+        source = _concat(store, built)
+        order = np.where(fresh, len(store) + np.cumsum(fresh) - 1, slot)
+        rebuilt = np.isin(store.net, eligible[fresh])
+        keep = np.concatenate([np.flatnonzero(~rebuilt), order[fresh]])
+        cache["batch"] = source.take(keep[np.argsort(source.net[keep])])
+        span.set(nets=len(eligible), cached=len(eligible) - len(built))
+    return source.take(order)
 
-        topologies = []
-        built_iter = iter(built)
-        for net, cached_topo, key in slots:
-            if cached_topo is not None:
-                topologies.append(cached_topo)
-                continue
-            topo = next(built_iter)
-            gx = np.round(topo.x).astype(np.int64)
-            gy = np.round(topo.y).astype(np.int64)
-            point_of = {
-                (int(gx[i]), int(gy[i])): i
-                for i in range(len(gx))
-                if topo.is_pin[i]
-            }
-            net_topo = NetTopology(
-                net, gx, gy, topo.is_pin.copy(), topo.edges.copy(), point_of
-            )
-            if cache is not None:
-                cache[net] = (key, net_topo)
-            topologies.append(net_topo)
-        span.set(nets=len(topologies), cached=reused)
-    return topologies
+
+def _concat(a: TopologyBatch, b: TopologyBatch) -> TopologyBatch:
+    return TopologyBatch(
+        np.concatenate([a.net, b.net]),
+        np.concatenate([a.point_start, b.point_start[1:] + a.point_start[-1]]),
+        np.concatenate([a.gx, b.gx]),
+        np.concatenate([a.gy, b.gy]),
+        np.concatenate([a.is_pin, b.is_pin]),
+        np.concatenate([a.edge_start, b.edge_start[1:] + a.edge_start[-1]]),
+        np.concatenate([a.edges, b.edges + len(a.gx)]),
+    )
 
 
 @dataclass
@@ -157,13 +121,13 @@ class DemandResult:
     dmd_h: np.ndarray
     dmd_v: np.ndarray
     pin_count: np.ndarray
-    i_segments: list
+    i_segments: StraightSegments
 
 
 def accumulate_demand(
     design: Design,
     grid: RoutingGrid,
-    topologies: list,
+    topologies: TopologyBatch,
     pin_penalty: float = 0.05,
 ) -> DemandResult:
     """Probabilistic demand maps for the given topologies.
@@ -179,7 +143,9 @@ def accumulate_demand(
         count (reused by the pin-density features).
     """
     with obs.span("congestion/demand", nets=len(topologies)) as span:
-        ax, ay, bx, by, a_pin, b_pin = _edge_endpoints(topologies)
+        a, b = topologies.edges.T
+        ax, ay, a_pin = topologies.gx[a], topologies.gy[a], topologies.is_pin[a]
+        bx, by, b_pin = topologies.gx[b], topologies.gy[b], topologies.is_pin[b]
         xlo = np.minimum(ax, bx)
         xhi = np.maximum(ax, bx)
         ylo = np.minimum(ay, by)
@@ -206,53 +172,19 @@ def accumulate_demand(
         a_first = np.where(
             horiz, ax[straight] < bx[straight], ay[straight] < by[straight]
         )
-        i_segments = [
-            ISegment(hz, f, lo, hi, lp, hp)
-            for hz, f, lo, hi, lp, hp in zip(
-                horiz.tolist(),
-                np.where(horiz, ylo[straight], xlo[straight]).tolist(),
-                np.where(horiz, xlo[straight], ylo[straight]).tolist(),
-                np.where(horiz, xhi[straight], yhi[straight]).tolist(),
-                np.where(a_first, a_pin[straight], b_pin[straight]).tolist(),
-                np.where(a_first, b_pin[straight], a_pin[straight]).tolist(),
-            )
-        ]
-        pin_count = np.zeros((grid.nx, grid.ny))
-        if design.num_pins:
-            px, py = design.pin_positions()
-            pgx, pgy = grid.gcell_of(px, py)
-            np.add.at(pin_count, (pgx, pgy), 1.0)
-            if pin_penalty > 0:
-                dmd_h += pin_penalty * pin_count
-                dmd_v += pin_penalty * pin_count
+        i_segments = StraightSegments(
+            horiz,
+            np.where(horiz, ylo[straight], xlo[straight]),
+            np.where(horiz, xlo[straight], ylo[straight]),
+            np.where(horiz, xhi[straight], yhi[straight]),
+            np.where(a_first, a_pin[straight], b_pin[straight]),
+            np.where(a_first, b_pin[straight], a_pin[straight]),
+        )
+        pin_count = np.bincount(
+            pin_flat_indices(design, grid), minlength=grid.nx * grid.ny
+        ).reshape(grid.nx, grid.ny).astype(np.float64)
+        if pin_penalty > 0:
+            dmd_h += pin_penalty * pin_count
+            dmd_v += pin_penalty * pin_count
         span.set(segments=len(i_segments), backend=kernels.current())
     return DemandResult(dmd_h, dmd_v, pin_count, i_segments)
-
-
-def _edge_endpoints(topologies: list) -> tuple:
-    """Endpoint Gcell coordinates and pin flags of every two-point net,
-    concatenated across topologies in edge order."""
-    ax, ay, bx, by, a_pin, b_pin = [], [], [], [], [], []
-    for topo in topologies:
-        if len(topo.edges) == 0:
-            continue
-        a = topo.edges[:, 0]
-        b = topo.edges[:, 1]
-        ax.append(topo.gx[a])
-        ay.append(topo.gy[a])
-        bx.append(topo.gx[b])
-        by.append(topo.gy[b])
-        a_pin.append(topo.is_pin[a])
-        b_pin.append(topo.is_pin[b])
-    if not ax:
-        empty = np.zeros(0, dtype=np.int64)
-        flags = np.zeros(0, dtype=bool)
-        return empty, empty, empty, empty, flags, flags
-    return (
-        np.concatenate(ax),
-        np.concatenate(ay),
-        np.concatenate(bx),
-        np.concatenate(by),
-        np.concatenate(a_pin),
-        np.concatenate(b_pin),
-    )

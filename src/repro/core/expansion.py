@@ -14,13 +14,13 @@ itself can move (cell spreading).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .. import obs
 from ..router.grid import RoutingGrid
-from .demand import DemandResult, ISegment
+from .demand import DemandResult
 
 
 @dataclass
@@ -49,9 +49,11 @@ def expand_demand(
     resources one net at a time.
     """
     params = params or ExpansionParams()
-    with obs.span("congestion/expansion", segments=len(demand.i_segments)):
-        for seg in demand.i_segments:
-            if seg.horizontal:
+    segs = demand.i_segments
+    columns = [getattr(segs, f.name).tolist() for f in fields(segs)]
+    with obs.span("congestion/expansion", segments=len(segs)):
+        for horizontal, *seg in zip(*columns):
+            if horizontal:
                 _expand_one(
                     grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny, seg, params
                 )
@@ -67,18 +69,19 @@ def _expand_one(
     dmd: np.ndarray,
     dmd_perp: np.ndarray,
     num_rows: int,
-    seg: ISegment,
+    seg: tuple,
     params: ExpansionParams,
 ) -> None:
-    """Redistribute one horizontal-convention I-segment.
+    """Redistribute one horizontal-convention I-segment ``(row, lo, hi,
+    lo_is_pin, hi_is_pin)``.
 
     ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
     segment that is ``[gx, gy]``; the vertical case passes transposed
     views so the same code applies.
     """
-    row = seg.fixed
-    span = slice(seg.lo, seg.hi + 1)
-    length = seg.hi - seg.lo + 1
+    row, lo, hi, lo_is_pin, hi_is_pin = seg
+    span = slice(lo, hi + 1)
+    length = hi - lo + 1
     over = dmd[span, row] - cap[span, row]
     if over.max() <= 0.0:
         return
@@ -108,7 +111,7 @@ def _expand_one(
         # perpendicular demand between the original and displaced rows.
         step = 1 if k > 0 else -1
         across = slice(min(row + step, row + k), max(row + step, row + k) + 1)
-        if not seg.lo_is_pin:
-            dmd_perp[seg.lo, across] += w
-        if not seg.hi_is_pin:
-            dmd_perp[seg.hi, across] += w
+        if not lo_is_pin:
+            dmd_perp[lo, across] += w
+        if not hi_is_pin:
+            dmd_perp[hi, across] += w

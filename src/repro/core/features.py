@@ -23,7 +23,9 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from ..netlist.design import Design
+from ..router.router import pin_flat_indices
 from .congestion import CongestionMap
+from .demand import TopologyBatch
 
 
 FEATURE_NAMES = (
@@ -74,7 +76,7 @@ class FeatureExtractor:
         self.design = design
         self.params = params or FeatureParams()
 
-    def extract(self, cmap: CongestionMap, topologies: list) -> FeatureSet:
+    def extract(self, cmap: CongestionMap, topologies: TopologyBatch) -> FeatureSet:
         """All features at the design's current placement.
 
         Fixed cells and macros receive zero features (they are never
@@ -117,80 +119,104 @@ class FeatureExtractor:
     # GNN-inspired pin congestion (Eqs. 12-13)
     # ------------------------------------------------------------------
 
-    def _pin_congestion(self, cmap: CongestionMap, topologies: list) -> np.ndarray:
+    def _pin_congestion(self, cmap: CongestionMap, batch: TopologyBatch) -> np.ndarray:
         design = self.design
         grid = cmap.grid
-        cg = cmap.cg
-        px, py = design.pin_positions()
-        pgx, pgy = grid.gcell_of(px, py)
-
+        if len(batch) == 0:
+            return np.zeros(design.num_cells)
         # Best (min over candidate paths) worst-Gcell congestion per
-        # topology point, for pin points of every net.
-        point_values = []
-        for topo in topologies:
-            best = np.full(len(topo.gx), np.inf)
-            for a, b in topo.edges:
-                value = self._segment_path_congestion(
-                    cg, int(topo.gx[a]), int(topo.gy[a]), int(topo.gx[b]), int(topo.gy[b])
-                )
-                best[a] = min(best[a], value)
-                best[b] = min(best[b], value)
-            point_values.append(best)
-
-        pin_cg_cell = np.zeros(design.num_cells)
-        for topo, best in zip(topologies, point_values):
-            pins = design.pins_of_net(topo.net)
-            for p in pins:
-                key = (int(pgx[p]), int(pgy[p]))
-                point = topo.point_of.get(key)
-                if point is None or not np.isfinite(best[point]):
-                    continue
-                pin_cg_cell[design.pin_cell[p]] += best[point]
-        return pin_cg_cell
-
-    def _segment_path_congestion(
-        self, cg: np.ndarray, ax: int, ay: int, bx: int, by: int
-    ) -> float:
-        """Min over L/Z candidate paths of the max Gcell congestion."""
-        if ax == bx and ay == by:
-            return float(cg[ax, ay])
-        if ax == bx:
-            lo, hi = sorted((ay, by))
-            return float(cg[ax, lo : hi + 1].max())
-        if ay == by:
-            lo, hi = sorted((ax, bx))
-            return float(cg[lo : hi + 1, ay].max())
-        xlo, xhi = sorted((ax, bx))
-        ylo, yhi = sorted((ay, by))
-        best = min(
-            # L with corner at (bx, ay): H run at ay, V run at bx.
-            max(cg[xlo : xhi + 1, ay].max(), cg[bx, ylo : yhi + 1].max()),
-            # L with corner at (ax, by).
-            max(cg[xlo : xhi + 1, by].max(), cg[ax, ylo : yhi + 1].max()),
+        # topology point, over the point's two-point nets.
+        a, b = batch.edges.T
+        value = path_congestion(
+            cmap.cg, batch.gx[a], batch.gy[a], batch.gx[b], batch.gy[b],
+            self.params.z_samples,
         )
-        for mid in _interior_samples(xlo, xhi, self.params.z_samples):
-            value = max(
-                cg[min(ax, mid) : max(ax, mid) + 1, ay].max(),
-                cg[mid, ylo : yhi + 1].max(),
-                cg[min(mid, bx) : max(mid, bx) + 1, by].max(),
-            )
-            best = min(best, value)
-        for mid in _interior_samples(ylo, yhi, self.params.z_samples):
-            value = max(
-                cg[ax, min(ay, mid) : max(ay, mid) + 1].max(),
-                cg[xlo : xhi + 1, mid].max(),
-                cg[bx, min(mid, by) : max(mid, by) + 1].max(),
-            )
-            best = min(best, value)
-        return float(best)
+        best = np.full(len(batch.gx), np.inf)
+        np.minimum.at(best, a, value)
+        np.minimum.at(best, b, value)
+
+        # Each pin of a batch net sits on the net's pin point in its
+        # Gcell: match sorted (net, Gcell) keys (Steiner points key -1).
+        span = np.int64(grid.nx) * np.int64(grid.ny)
+        point_net = np.repeat(batch.net, np.diff(batch.point_start))
+        point_key = np.where(
+            batch.is_pin, point_net * span + batch.gx * grid.ny + batch.gy, -1
+        )
+        order = np.argsort(point_key)
+        point_key = point_key[order]
+        pins = design.net_pins
+        pin_key = np.repeat(np.arange(design.num_nets), design.net_degrees()) * span
+        pin_key += pin_flat_indices(design, grid)[pins]
+        at = np.minimum(np.searchsorted(point_key, pin_key), len(point_key) - 1)
+        pin_value = np.where(point_key[at] == pin_key, best[order[at]], np.inf)
+        ok = np.isfinite(pin_value)
+        # Net-then-pin order: the summation order of a per-pin loop.
+        return np.bincount(
+            design.pin_cell[pins[ok]], weights=pin_value[ok], minlength=design.num_cells
+        )
 
 
-def _interior_samples(lo: int, hi: int, count: int) -> list:
-    interior = range(lo + 1, hi)
-    if len(interior) <= count:
-        return list(interior)
-    step = len(interior) / (count + 1)
-    return [interior[int(step * (i + 1))] for i in range(count)]
+def path_congestion(cg, ax, ay, bx, by, z_samples: int = 2) -> np.ndarray:
+    """Per two-point net: min over both L and up to ``z_samples`` Z paths
+    per direction of the max Gcell congestion along the path (Eq. 12).
+
+    Each straight run is the max of two overlapping power-of-two runs
+    from a range-max table: O(1), and exact.  Straight and single-Gcell
+    edges need no special case: both L paths collapse onto the run.
+    """
+    ax, ay, bx, by = (np.asarray(v, dtype=np.int64) for v in (ax, ay, bx, by))
+    rows, cols = _range_max_table(cg), _range_max_table(cg.T)
+
+    def run(table, across, a, b):  # table[0, min(a,b) : max(a,b) + 1, across].max()
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        k = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(run length))
+        return np.maximum(table[k, lo, across], table[k, hi - (1 << k) + 1, across])
+
+    best = np.minimum(
+        # L with corner at (bx, ay): H run at ay, V run at bx.
+        np.maximum(run(rows, ay, ax, bx), run(cols, bx, ay, by)),
+        # L with corner at (ax, by).
+        np.maximum(run(rows, by, ax, bx), run(cols, ax, ay, by)),
+    )
+    bent = np.flatnonzero((ax != bx) & (ay != by))
+    if z_samples <= 0 or len(bent) == 0:
+        return best
+    ax, ay, bx, by = (v[bent, None] for v in (ax, ay, bx, by))
+    mid, ok = _interior_samples(np.minimum(ax, bx), np.maximum(ax, bx), z_samples)
+    zx = np.maximum.reduce(
+        [run(rows, ay, ax, mid), run(cols, mid, ay, by), run(rows, by, mid, bx)]
+    )
+    mid, ok_y = _interior_samples(np.minimum(ay, by), np.maximum(ay, by), z_samples)
+    zy = np.maximum.reduce(
+        [run(cols, ax, ay, mid), run(rows, mid, ax, bx), run(cols, bx, mid, by)]
+    )
+    z = np.minimum(np.where(ok, zx, np.inf), np.where(ok_y, zy, np.inf)).min(axis=1)
+    best[bent] = np.minimum(best[bent], z)
+    return best
+
+
+def _range_max_table(cg: np.ndarray) -> np.ndarray:
+    """Sparse table ``t[k, x, y] = cg[x : x + 2**k, y].max()``."""
+    levels = [cg]
+    while 2 ** len(levels) <= len(cg):
+        half = 2 ** (len(levels) - 1)
+        level = levels[-1].copy()
+        level[:-half] = np.maximum(level[:-half], levels[-1][half:])
+        levels.append(level)
+    return np.stack(levels)
+
+
+def _interior_samples(lo, hi, count: int) -> tuple:
+    """``(mid, ok)``: the Z-path positions strictly inside ``(lo, hi)`` —
+    all if at most ``count``, else ``lo + 1 + int(n / (count + 1) * (i + 1))``
+    for ``n`` interior cells — and the used-slot mask (unused hold ``lo``)."""
+    n = hi - lo - 1
+    i = np.arange(count)
+    few = n <= count
+    step = n / (count + 1)
+    mid = lo + 1 + np.where(few, i, (step * (i + 1)).astype(np.int64))
+    ok = ~few | (i < n)
+    return np.where(ok, mid, lo), ok
 
 
 def _corner_max(grid, grid_map, xlo, ylo, xhi, yhi) -> np.ndarray:

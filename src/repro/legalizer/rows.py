@@ -121,6 +121,3 @@ class SegmentIndex:
             len(self.row_ys) - 1,
         ))
         return idx
-
-    def segments_in_row(self, row: int) -> list:
-        return self.by_row.get(row, [])

@@ -158,11 +158,6 @@ class Design:
         return int(self.is_macro.sum())
 
     @property
-    def cell_area(self) -> np.ndarray:
-        """Per-cell area ``w * h``."""
-        return self.w * self.h
-
-    @property
     def movable_area(self) -> float:
         """Total area of movable cells."""
         return float((self.w[self.movable] * self.h[self.movable]).sum())
@@ -185,10 +180,6 @@ class Design:
     def pins_of_cell(self, cell: int) -> np.ndarray:
         """Pin indices owned by ``cell``."""
         return self._cellpin_list[self._cellpin_start[cell] : self._cellpin_start[cell + 1]]
-
-    def net_degree(self, net: int) -> int:
-        """Number of pins on ``net``."""
-        return int(self.net_start[net + 1] - self.net_start[net])
 
     def net_degrees(self) -> np.ndarray:
         """Pin counts of every net."""

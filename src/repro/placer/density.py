@@ -198,9 +198,9 @@ class ElectrostaticDensity:
         die = self._design.die
         fx = (np.clip(x[self._mov_idx], die.xlo, die.xhi) - die.xlo) / self.bin_w - 0.5
         fy = (np.clip(y[self._mov_idx], die.ylo, die.yhi) - die.ylo) / self.bin_h - 0.5
-        psi_c = _bilinear(psi, fx, fy)
-        ex_c = _bilinear(ex, fx, fy) / self.bin_w
-        ey_c = _bilinear(ey, fx, fy) / self.bin_h
+        psi_c, ex_c, ey_c = _bilinear((psi, ex, ey), fx, fy)
+        ex_c /= self.bin_w
+        ey_c /= self.bin_h
 
         penalty = float((self._charge * psi_c).sum())
         gx = np.zeros_like(x)
@@ -256,9 +256,10 @@ def _eval_cossin(c: np.ndarray) -> np.ndarray:
     return out * signs[None, :]
 
 
-def _bilinear(grid: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of ``grid`` at fractional bin indices."""
-    m, n = grid.shape
+def _bilinear(grids: tuple, fx: np.ndarray, fy: np.ndarray) -> list:
+    """Bilinear interpolation of each (same-shape) grid at fractional
+    bin indices; the indices and weights are computed once."""
+    m, n = grids[0].shape
     fx = np.clip(fx, 0.0, m - 1.0)
     fy = np.clip(fy, 0.0, n - 1.0)
     i0 = np.clip(np.floor(fx).astype(np.int64), 0, m - 1)
@@ -267,9 +268,11 @@ def _bilinear(grid: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     j1 = np.minimum(j0 + 1, n - 1)
     tx = fx - i0
     ty = fy - j0
-    return (
-        grid[i0, j0] * (1 - tx) * (1 - ty)
-        + grid[i1, j0] * tx * (1 - ty)
-        + grid[i0, j1] * (1 - tx) * ty
-        + grid[i1, j1] * tx * ty
-    )
+    ux = 1 - tx
+    uy = 1 - ty
+    corners = (i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1)
+    out = []
+    for grid in grids:
+        g00, g10, g01, g11 = (grid.ravel().take(c) for c in corners)
+        out.append(g00 * ux * uy + g10 * tx * uy + g01 * ux * ty + g11 * tx * ty)
+    return out

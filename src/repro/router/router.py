@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..netlist.design import Design
-from ..rsmt import build_rsmt_batch
+from ..rsmt.batch import gcell_rsmt_batch, net_gcells
 from .cost import CostModel, CostParams
 from .grid import DemandMaps, RoutingGrid, build_grid
 from .maze import maze_route
@@ -141,62 +141,24 @@ def build_net_segments(
         ``(segments, seg_net)`` — a list of ``(gx0, gy0, gx1, gy1)``
         tuples and a parallel int64 array of net ids.
     """
-    px, py = design.pin_positions()
-    gx, gy = grid.gcell_of(px, py)
     if nets is None:
         net_ids = np.arange(design.num_nets, dtype=np.int64)
     else:
         net_ids = np.asarray(list(nets), dtype=np.int64)
-    if len(net_ids) == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    # Batch the per-net work: gather each net's pins, dedup their Gcells
-    # with one composite-key sort (gcell order matches the historical
-    # per-net ``np.unique`` since ``gy < ny``), and build every RSMT in
-    # one dispatch to the active kernel backend.
-    s = design.net_start[net_ids]
-    lens = design.net_start[net_ids + 1] - s
-    total = int(lens.sum())
-    off = np.zeros(len(net_ids) + 1, dtype=np.int64)
-    np.cumsum(lens, out=off[1:])
-    gather = np.repeat(s - off[:-1], lens) + np.arange(total)
-    pins_sel = design.net_pins[gather]
-    local = np.repeat(np.arange(len(net_ids), dtype=np.int64), lens)
-    span_sz = np.int64(grid.nx) * np.int64(grid.ny)
-    flat = gx[pins_sel] * grid.ny + gy[pins_sel]
-    skey = np.sort(local * span_sz + flat)
-    keep = np.ones(len(skey), dtype=bool)
-    keep[1:] = skey[1:] != skey[:-1]
-    ukey = skey[keep]
-    ulocal = ukey // span_sz
-    ucell = ukey % span_sz
-    counts = np.bincount(ulocal, minlength=len(net_ids))
-    ustart = np.zeros(len(net_ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=ustart[1:])
-    eligible = np.flatnonzero(counts >= 2)
-    if len(eligible) == 0:
-        return [], np.zeros(0, dtype=np.int64)
-    blens = counts[eligible]
-    bstart = np.zeros(len(eligible) + 1, dtype=np.int64)
-    np.cumsum(blens, out=bstart[1:])
-    pick = np.repeat(ustart[eligible] - bstart[:-1], blens) + np.arange(
-        bstart[-1]
+    # Dedup each net's pin Gcells and build every RSMT in one dispatch
+    # to the active kernel backend.
+    ustart, ucell = net_gcells(
+        pin_flat_indices(design, grid), design.net_start, design.net_pins,
+        net_ids, grid.nx * grid.ny,
     )
-    cells_sel = ucell[pick]
-    topos = build_rsmt_batch(
-        (cells_sel // grid.ny).astype(np.float64),
-        (cells_sel % grid.ny).astype(np.float64),
-        bstart,
-    )
-    segments = []
-    seg_net = []
-    for li, topo in zip(eligible.tolist(), topos):
-        net = int(net_ids[li])
-        tx = np.round(topo.x).astype(np.int64)
-        ty = np.round(topo.y).astype(np.int64)
-        for a, b in topo.edges:
-            segments.append((int(tx[a]), int(ty[a]), int(tx[b]), int(ty[b])))
-            seg_net.append(net)
-    return segments, np.asarray(seg_net, dtype=np.int64)
+    eligible = np.flatnonzero(np.diff(ustart) >= 2)
+    batch = gcell_rsmt_batch(ustart, ucell, eligible, grid.ny)
+    a, b = batch.edges.T
+    segments = list(zip(
+        batch.gx[a].tolist(), batch.gy[a].tolist(),
+        batch.gx[b].tolist(), batch.gy[b].tolist(),
+    ))
+    return segments, net_ids[np.repeat(batch.net, np.diff(batch.edge_start))]
 
 
 def commit_route(route, sign, dmd_h, dmd_v, cost_model, cost_h_flat, cost_v_flat):

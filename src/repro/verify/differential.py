@@ -180,8 +180,10 @@ def diff_maps(design) -> list:
 
     cases = []
     grid = build_grid(design)
-    topologies = build_topologies(design, grid)
-    ref, vec = _both(lambda: accumulate_demand(design, grid, topologies))
+    # Each backend builds its own topology batch (``steiner_batch``).
+    ref, vec = _both(
+        lambda: accumulate_demand(design, grid, build_topologies(design, grid))
+    )
     cases.append(_map_case("maps/demand_h", ref.dmd_h, vec.dmd_h))
     cases.append(_map_case("maps/demand_v", ref.dmd_v, vec.dmd_v))
 

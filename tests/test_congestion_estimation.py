@@ -1,8 +1,11 @@
 """Tests for PUFFER's congestion estimation (capacity/demand/expansion)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     CongestionEstimator,
     EstimatorParams,
@@ -63,9 +66,40 @@ class TestDemand:
         d = two_pin_design(24, 24, 25, 25)
         grid = build_grid(d)
         topos = build_topologies(d, grid)
-        assert topos == []
+        assert len(topos) == 0
         result = accumulate_demand(d, grid, topos, pin_penalty=0.1)
         assert result.dmd_h.sum() == pytest.approx(0.2)  # two pins
+
+    def test_topology_cache_matches_cold_build(self, small_design):
+        grid = build_grid(small_design)
+        cache = {}
+        build_topologies(small_design, grid, cache=cache)
+        rng = np.random.default_rng(7)
+        moved = rng.choice(np.flatnonzero(small_design.movable), 25, replace=False)
+        die = small_design.die
+        small_design.x[moved] = rng.uniform(die.xlo, die.xhi, len(moved))
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            warm = build_topologies(small_design, grid, cache=cache)
+        cold = build_topologies(small_design, grid)
+        (record,) = [r for r in tracer.ring if r["name"] == "congestion/topologies"]
+        assert 0 < record["attrs"]["cached"] < len(warm)
+        for f in fields(cold):
+            np.testing.assert_array_equal(getattr(warm, f.name), getattr(cold, f.name))
+
+    def test_topology_memo_outlives_a_local_round(self):
+        # A net that collapses into one Gcell for a round and then moves
+        # back reuses the tree built before the collapse.
+        d = two_pin_design(24, 72, 88, 72)
+        grid = build_grid(d)
+        cache = {}
+        tracer = obs.Tracer()
+        with obs.tracing(tracer):
+            for x in (88, 25, 88):
+                d.x[1] = x
+                build_topologies(d, grid, cache=cache)
+        records = [r["attrs"] for r in tracer.ring if r["name"] == "congestion/topologies"]
+        assert [(r["nets"], r["cached"]) for r in records] == [(1, 0), (0, 0), (1, 1)]
 
     def test_pin_count_map(self, placed_small_design):
         grid = build_grid(placed_small_design)
@@ -169,6 +203,12 @@ class TestCongestionMap:
         est = CongestionEstimator(placed_small_design)
         _, topologies, _ = est.estimate()
         assert len(topologies) > 0
-        for topo in topologies[:20]:
-            assert len(topo.point_of) >= 1
-            assert topo.edges.shape[1] == 2
+        assert topologies.edges.shape[1] == 2
+        for i in range(min(len(topologies), 20)):
+            lo, hi = topologies.point_start[i], topologies.point_start[i + 1]
+            assert topologies.is_pin[lo:hi].sum() >= 2
+            edges = topologies.edges[
+                topologies.edge_start[i] : topologies.edge_start[i + 1]
+            ]
+            assert len(edges) == hi - lo - 1  # a tree over the entry's points
+            assert ((edges >= lo) & (edges < hi)).all()

@@ -146,17 +146,17 @@ class TestBilinear:
         grid = rng.random((8, 8))
         fx = np.array([2.0, 5.0])
         fy = np.array([3.0, 7.0])
-        out = _bilinear(grid, fx, fy)
+        (out,) = _bilinear((grid,), fx, fy)
         assert out[0] == pytest.approx(grid[2, 3])
         assert out[1] == pytest.approx(grid[5, 7])
 
     def test_interpolates_midpoint(self):
         grid = np.array([[0.0, 0.0], [1.0, 1.0]])
-        out = _bilinear(grid, np.array([0.5]), np.array([0.0]))
+        (out,) = _bilinear((grid,), np.array([0.5]), np.array([0.0]))
         assert out[0] == pytest.approx(0.5)
 
     def test_clamps_out_of_range(self, rng):
         grid = rng.random((4, 4))
-        out = _bilinear(grid, np.array([-3.0, 99.0]), np.array([-1.0, 99.0]))
+        (out,) = _bilinear((grid,), np.array([-3.0, 99.0]), np.array([-1.0, 99.0]))
         assert out[0] == pytest.approx(grid[0, 0])
         assert out[1] == pytest.approx(grid[3, 3])

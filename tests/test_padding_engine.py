@@ -63,6 +63,32 @@ class TestEquation14:
         pad = engine.compute_padding(features)
         assert (pad[~small_design.movable] == 0).all()
 
+    def test_hand_computed_weights(self, tiny_design):
+        """Eq. (14), ``Pad(c) = log(max(sum_i alpha_i f_i + beta, 1)) * mu``,
+        worked by hand with alphas (1, 0.5, 0.25, 0, 0.125), beta = -1,
+        mu = 2 and features in FEATURE_NAMES order:
+
+        * cell 1, f = (2, 2, 4, 9, 8): score = 2 + 1 + 1 + 0 + 1 - 1 = 4,
+          so Pad = 2 ln 4;
+        * cell 2, f = (1.5, 0, 0, 0, 0): score = 0.5 < 1, so Pad = 0;
+        * cell 3, f = (0, 0, 0, 0, 24): score = 3 - 1 = 2, so Pad = 2 ln 2;
+        * cell 0 is the fixed IO: Pad = 0 whatever its features.
+        """
+        params = StrategyParams(
+            alpha_local_cg=1.0, alpha_local_pin=0.5, alpha_around_cg=0.25,
+            alpha_around_pin=0.0, alpha_pin_cg=0.125, beta=-1.0, mu=2.0,
+        )
+        n = tiny_design.num_cells
+        values = {name: np.zeros(n) for name in FEATURE_NAMES}
+        for name, f1, f2, f3 in zip(
+            FEATURE_NAMES, (2, 2, 4, 9, 8), (1.5, 0, 0, 0, 0), (0, 0, 0, 0, 24)
+        ):
+            values[name][[0, 1, 2, 3]] = (50.0, f1, f2, f3)
+        pad = PaddingEngine(tiny_design, params).compute_padding(FeatureSet(values))
+        assert not tiny_design.movable[0]
+        assert pad[:4] == pytest.approx([0.0, 2 * np.log(4), 0.0, 2 * np.log(2)])
+        assert not pad[4:].any()
+
 
 class TestEquation15Recycling:
     def test_recycle_rate_formula(self, small_design):
