@@ -46,22 +46,61 @@ def expand_demand(
 
     Congestion is judged against the *current* maps, so earlier
     expansions relieve later ones — imitating routers negotiating
-    resources one net at a time.
+    resources one net at a time.  An uncongested segment changes
+    nothing, so after a run of them one array pass over the rest jumps
+    to the next congested one.
     """
     params = params or ExpansionParams()
     segs = demand.i_segments
-    columns = [getattr(segs, f.name).tolist() for f in fields(segs)]
-    with obs.span("congestion/expansion", segments=len(segs)):
-        for horizontal, *seg in zip(*columns):
-            if horizontal:
-                _expand_one(
-                    grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny, seg, params
-                )
-            else:
-                # The transposed views make the vertical case identical.
-                _expand_one(
-                    grid.cap_v.T, demand.dmd_v.T, demand.dmd_h.T, grid.nx, seg, params
-                )
+    n = len(segs)
+    rows = list(zip(*(getattr(segs, f.name).tolist() for f in fields(segs))))
+    views = (
+        # The transposed views make the vertical case identical.
+        (grid.cap_v.T, demand.dmd_v.T, demand.dmd_h.T, grid.nx),
+        (grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny),
+    )
+    first_congested = _over_capacity_scan(grid, demand)
+    with obs.span("congestion/expansion", segments=n):
+        i, clean = first_congested(0), 0
+        while i < n:
+            horizontal, *seg = rows[i]
+            clean = 0 if _expand_one(*views[horizontal], seg, params) else clean + 1
+            i += 1
+            if clean == _PROBE:
+                i, clean = first_congested(i), 0
+
+
+#: Clean segments tested one by one before the next array pass: fewer
+#: slow down congested designs (MEDIA_SUBSYS expands 43% of them).
+_PROBE = 8
+
+
+def _over_capacity_scan(grid: RoutingGrid, demand: DemandResult):
+    """``first(i)``: the first segment from ``i`` on that fails the
+    capacity test of :func:`_expand_one` (``demand - capacity <= 0`` on
+    every Gcell of its span), else the segment count.  Prefix counts of
+    passing Gcells along each segment direction (the transposed vertical
+    maps, as in :func:`expand_demand`) make each test two lookups."""
+    segs = demand.i_segments
+    nx, ny = grid.nx, grid.ny
+    split = (nx + 1) * ny
+    prefix = np.zeros(split + (ny + 1) * nx, dtype=np.int64)
+    counts = (
+        (demand.dmd_h, grid.cap_h, prefix[:split].reshape(nx + 1, ny)[1:]),
+        (demand.dmd_v.T, grid.cap_v.T, prefix[split:].reshape(ny + 1, nx)[1:]),
+    )
+    stride = np.where(segs.horizontal, ny, nx)
+    start = np.where(segs.horizontal, 0, split) + segs.lo * stride + segs.fixed
+    length = segs.hi - segs.lo + 1
+    end = start + length * stride
+
+    def first(i: int) -> int:
+        for dmd, cap, out in counts:
+            np.cumsum(dmd - cap <= 0.0, axis=0, out=out)
+        over = np.flatnonzero(prefix[end[i:]] - prefix[start[i:]] < length[i:])
+        return i + int(over[0]) if len(over) else len(length)
+
+    return first
 
 
 def _expand_one(
@@ -71,9 +110,9 @@ def _expand_one(
     num_rows: int,
     seg: tuple,
     params: ExpansionParams,
-) -> None:
+) -> bool:
     """Redistribute one horizontal-convention I-segment ``(row, lo, hi,
-    lo_is_pin, hi_is_pin)``.
+    lo_is_pin, hi_is_pin)`` if it is over capacity; returns whether it was.
 
     ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
     segment that is ``[gx, gy]``; the vertical case passes transposed
@@ -84,7 +123,7 @@ def _expand_one(
     length = hi - lo + 1
     over = dmd[span, row] - cap[span, row]
     if over.max() <= 0.0:
-        return
+        return False
     lo_k = max(row - params.radius, 0) - row
     hi_k = min(row + params.radius, num_rows - 1) - row
     offsets = np.arange(lo_k, hi_k + 1)
@@ -96,7 +135,7 @@ def _expand_one(
     weights[offsets == 0] += params.keep_weight * max(length, 1)
     total = weights.sum()
     if total <= 0.0:
-        return
+        return True
     weights /= total
 
     # Redistribute the unit demand across the neighbouring rows.
@@ -115,3 +154,4 @@ def _expand_one(
             dmd_perp[lo, across] += w
         if not hi_is_pin:
             dmd_perp[hi, across] += w
+    return True

@@ -18,15 +18,11 @@ class IncrementalHpwl:
 
     def __init__(self, design: Design) -> None:
         self.design = design
-        self._px, self._py = design.pin_positions()
+        xlo, ylo, xhi, yhi = (a.tolist() for a in design.net_bboxes())
         self._bbox = {}
         self._total = 0.0
-        for net in range(design.num_nets):
-            pins = design.pins_of_net(net)
-            if len(pins) == 0:
-                continue
-            box = self._net_box(net, {})
-            self._bbox[net] = box
+        for net in np.flatnonzero(np.diff(design.net_start) > 0).tolist():
+            box = self._bbox[net] = (xlo[net], xhi[net], ylo[net], yhi[net])
             self._total += (box[1] - box[0]) + (box[3] - box[2])
 
     @property

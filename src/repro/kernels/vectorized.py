@@ -107,7 +107,7 @@ def _coverage(lo, hi, i0, k, inv):
     for j in range(1, k):
         col = a - j
         np.minimum(col, 1.0, out=col)
-        np.clip(col, 0.0, None, out=col)
+        np.maximum(col, 0.0, out=col)
         cols.append(col)
     return cols
 
@@ -152,19 +152,17 @@ def _overlap_edge_fix(rho, xlo, xhi, ylo, yhi, ix0, iy0, kx, ky, scale,
     rho -= np.bincount(flat[ok], weights=wgt[ok], minlength=size).reshape(dim, dim)
     # Add: the reference accumulation — offsets clamped to the last bin,
     # overlap recomputed against the clamped bin.
-    ix = np.clip(ixs, 0, dim - 1)
-    ox = np.clip(
+    ix = np.minimum(np.maximum(ixs, 0), dim - 1)
+    ox = np.maximum(
         np.minimum(xhi[:, None], (ix + 1) * bin_w)
         - np.maximum(xlo[:, None], ix * bin_w),
         0.0,
-        None,
     )
-    iy = np.clip(iys, 0, dim - 1)
-    oy = np.clip(
+    iy = np.minimum(np.maximum(iys, 0), dim - 1)
+    oy = np.maximum(
         np.minimum(yhi[:, None], (iy + 1) * bin_h)
         - np.maximum(ylo[:, None], iy * bin_h),
         0.0,
-        None,
     )
     wgt = ox[:, :, None] * oy[:, None, :] * scale[:, None, None]
     flat = ix[:, :, None] * dim + iy[:, None, :]

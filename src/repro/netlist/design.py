@@ -199,8 +199,9 @@ class Design:
         """Total half-perimeter wirelength over all nets."""
         if self.num_pins == 0:
             return 0.0
-        px, py = self.pin_positions()
-        return _hpwl_from_pins(px, py, self.net_start, self.net_pins)
+        xlo, ylo, xhi, yhi = self.net_bboxes()
+        nonempty = np.diff(self.net_start) > 0
+        return float((xhi - xlo)[nonempty].sum() + (yhi - ylo)[nonempty].sum())
 
     def net_bboxes(self) -> tuple:
         """Per-net bounding boxes as arrays ``(xlo, ylo, xhi, yhi)``.
@@ -208,21 +209,13 @@ class Design:
         Degenerate (``degree < 1``) nets yield zero-size boxes at the die
         center so downstream vectorized code never sees NaNs.
         """
-        px, py = self.pin_positions()
-        xpins = px[self.net_pins]
-        ypins = py[self.net_pins]
-        cx, cy = self.die.center.x, self.die.center.y
         m = self.num_nets
-        xlo = np.full(m, cx)
-        xhi = np.full(m, cx)
-        ylo = np.full(m, cy)
-        yhi = np.full(m, cy)
-        nonempty = np.diff(self.net_start) > 0
-        starts = self.net_start[:-1][nonempty]
-        xlo[nonempty] = np.minimum.reduceat(xpins, starts)
-        xhi[nonempty] = np.maximum.reduceat(xpins, starts)
-        ylo[nonempty] = np.minimum.reduceat(ypins, starts)
-        yhi[nonempty] = np.maximum.reduceat(ypins, starts)
+        ids = np.concatenate((self.pin_net, self.pin_net + m))
+        lo, hi = net_extents(np.concatenate(self.pin_positions()), ids, 2 * m)
+        xlo, ylo, xhi, yhi = lo[:m], lo[m:], hi[:m], hi[m:]
+        empty = np.diff(self.net_start) == 0
+        xlo[empty] = xhi[empty] = self.die.center.x
+        ylo[empty] = yhi[empty] = self.die.center.y
         return xlo, ylo, xhi, yhi
 
     # ------------------------------------------------------------------
@@ -258,14 +251,12 @@ class Design:
         )
 
 
-def _hpwl_from_pins(
-    px: np.ndarray, py: np.ndarray, net_start: np.ndarray, net_pins: np.ndarray
-) -> float:
-    """HPWL given absolute pin coordinates and a net CSR structure."""
-    nonempty = np.diff(net_start) > 0
-    starts = net_start[:-1][nonempty]
-    xpins = px[net_pins]
-    ypins = py[net_pins]
-    wx = np.maximum.reduceat(xpins, starts) - np.minimum.reduceat(xpins, starts)
-    wy = np.maximum.reduceat(ypins, starts) - np.minimum.reduceat(ypins, starts)
-    return float(wx.sum() + wy.sum())
+def net_extents(values: np.ndarray, net_ids: np.ndarray, num_nets: int) -> tuple:
+    """Per-net ``(lo, hi)`` of pin ``values`` grouped by ``net_ids``;
+    ``(+inf, -inf)`` for nets without pins.  ``ufunc.at`` extrema are
+    exact in any pin order, so both axes may share one id range."""
+    lo = np.full(num_nets, np.inf)
+    hi = np.full(num_nets, -np.inf)
+    np.minimum.at(lo, net_ids, values)
+    np.maximum.at(hi, net_ids, values)
+    return lo, hi

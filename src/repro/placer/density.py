@@ -44,11 +44,11 @@ class ElectrostaticDensity:
         self.bin_h = die.height / self.dim
         self.bin_area = self.bin_w * self.bin_h
         self.target_density = params.target_density
-        self._movable = design.movable
         self._mov_idx = np.flatnonzero(design.movable)
         self._fixed_map = self._rasterize_fixed()
         self._free_area = np.maximum(self.bin_area - self._fixed_map, 0.0)
-        self._omega = np.pi * np.arange(self.dim) / self.dim
+        self._cap = self.target_density * self._free_area
+        self._poisson = _PoissonSolver(self.dim, self.dim)
         self.set_sizes(design.w, design.h)
 
     # ------------------------------------------------------------------
@@ -101,12 +101,12 @@ class ElectrostaticDensity:
         if len(self._mov_idx) == 0:
             return np.zeros((dim, dim))
         with obs.span("density/movable", cells=len(self._mov_idx)) as span:
-            cx = np.clip(x[self._mov_idx], die.xlo, die.xhi)
-            cy = np.clip(y[self._mov_idx], die.ylo, die.yhi)
-            xlo = np.clip(cx - self._w_s / 2, die.xlo, die.xhi) - die.xlo
-            xhi = np.clip(cx + self._w_s / 2, die.xlo, die.xhi) - die.xlo
-            ylo = np.clip(cy - self._h_s / 2, die.ylo, die.yhi) - die.ylo
-            yhi = np.clip(cy + self._h_s / 2, die.ylo, die.yhi) - die.ylo
+            cx = _clamp(x[self._mov_idx], die.xlo, die.xhi)
+            cy = _clamp(y[self._mov_idx], die.ylo, die.yhi)
+            xlo = _clamp(cx - self._w_s / 2, die.xlo, die.xhi) - die.xlo
+            xhi = _clamp(cx + self._w_s / 2, die.xlo, die.xhi) - die.xlo
+            ylo = _clamp(cy - self._h_s / 2, die.ylo, die.yhi) - die.ylo
+            yhi = _clamp(cy + self._h_s / 2, die.ylo, die.yhi) - die.ylo
             ix0 = np.floor(xlo / self.bin_w).astype(np.int64)
             iy0 = np.floor(ylo / self.bin_h).astype(np.int64)
             rho = kernels.bin_overlap(
@@ -147,132 +147,124 @@ class ElectrostaticDensity:
     def overflow(self, x: np.ndarray, y: np.ndarray) -> float:
         """Density overflow: clipped excess area over the density target,
         normalized by total movable area (the paper's trigger metric)."""
-        mov = self.movable_density(x, y)
-        cap = self.target_density * self._free_area
-        total_mov = self._charge.sum()
-        if total_mov <= 0:
-            return 0.0
-        return float(np.maximum(mov - cap, 0.0).sum() / total_mov)
+        return self._overflow(self.movable_density(x, y))
+
+    def _overflow(self, mov_map: np.ndarray) -> float:
+        excess = np.maximum(mov_map - self._cap, 0.0).sum()
+        return float(excess / max(self._charge.sum(), 1e-12))
 
     # ------------------------------------------------------------------
     # Electrostatics
     # ------------------------------------------------------------------
 
-    def potential_and_field(self, rho: np.ndarray) -> tuple:
+    def potential_and_field(self, rho: np.ndarray) -> np.ndarray:
         """Solve the Poisson system for ``rho``.
 
-        Returns ``(psi, ex, ey)`` on the bin grid, in *index space*; the
-        caller converts field samples to physical gradients by dividing by
-        the bin dimensions.
+        Returns the stacked ``(3, M, M)`` array ``(psi, ex, ey)`` on the
+        bin grid, in *index space*; the caller converts field samples to
+        physical gradients by dividing by the bin dimensions.
         """
-        dim = self.dim
+        return self._poisson.solve(rho)
+
+    def penalty_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Density penalty ``D`` (Eq. 3) and its gradient per movable cell.
+
+        Returns ``(D, gx, gy, overflow)`` where the gradients are in
+        movable order (:attr:`movable_indices`), the order of
+        :attr:`charge`.
+        """
+        mov_map = self.movable_density(x, y)
+        field = self.potential_and_field(mov_map + self._fixed_map)
+
+        die = self._design.die
+        fx = (_clamp(x[self._mov_idx], die.xlo, die.xhi) - die.xlo) / self.bin_w - 0.5
+        fy = (_clamp(y[self._mov_idx], die.ylo, die.yhi) - die.ylo) / self.bin_h - 0.5
+        psi_c, ex_c, ey_c = _bilinear(field, fx, fy)
+        ex_c /= self.bin_w
+        ey_c /= self.bin_h
+        penalty = float((self._charge * psi_c).sum())
+        ovf = self._overflow(mov_map)
+        return penalty, -self._charge * ex_c, -self._charge * ey_c, ovf
+
+
+class _PoissonSolver:
+    """Spectral Poisson solve on an ``m x n`` bin grid (paper Eqs. 4-6).
+
+    ``psi``, ``Ex`` and ``Ey`` are cos/sin series in the cos-cos
+    coefficients of ``rho``, evaluated by one inverse DCT over a
+    ``(3, m, n)`` stack.  A sin series is a cos series of the reversed
+    coefficients times alternating signs, and the inverse DCT halves the
+    zero-frequency terms; those doublings and signs are exact, so they
+    are folded into per-grid input and output multipliers.
+    """
+
+    def __init__(self, m: int, n: int) -> None:
+        wu = (np.pi * np.arange(m) / m)[:, None]
+        wv = (np.pi * np.arange(n) / n)[None, :]
+        double_u = np.where(np.arange(m) == 0, 2.0, 1.0)[:, None]
+        double_v = np.where(np.arange(n) == 0, 2.0, 1.0)[None, :]
+        self._coef_scale = (3.0 - double_u) * (3.0 - double_v) / (m * n)
+        self._denom = wu * wu + wv * wv
+        self._denom[0, 0] = 1.0
+        self._inputs = (double_u * double_v, wu[:0:-1] * double_v, double_u * wv[:, :0:-1])
+        signs = (-1.0) ** np.arange(max(m, n))
+        self._outputs = np.stack(
+            np.broadcast_arrays(1.0, signs[:m, None], signs[None, :n])
+        ) * (m * n)
+
+    def solve(self, rho: np.ndarray) -> np.ndarray:
+        """``(psi, ex, ey)`` with ``laplacian(psi) == -rho``, stacked."""
         # Synthesis coefficients of rho in the cos-cos basis, normalized
         # so that rho == sum_uv a_uv cos cos and hence laplacian(psi) ==
         # -rho exactly (paper Eqs. 4-5 up to the DCT normalization).
-        coef = dctn(rho, type=2) / 4.0
-        weight = np.full(dim, 2.0)
-        weight[0] = 1.0
-        coef *= np.outer(weight, weight) / (dim * dim)
-        wu = self._omega[:, None]
-        wv = self._omega[None, :]
-        denom = wu * wu + wv * wv
-        denom[0, 0] = 1.0
-        a = coef / denom
+        a = dctn(rho, type=2)
+        a /= 4.0
+        a *= self._coef_scale
+        a /= self._denom
         a[0, 0] = 0.0
-        psi = _eval_coscos(a)
-        ex = _eval_sincos(a * wu)
-        ey = _eval_cossin(a * wv)
-        denom[0, 0] = 0.0
-        return psi, ex, ey
+        return self.series(a)
 
-    def penalty_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """Density penalty ``D`` (Eq. 3) and its gradient per cell.
-
-        Returns ``(D, gx, gy, overflow)`` where the gradients are full
-        per-cell arrays (zero at fixed cells).
-        """
-        mov_map = self.movable_density(x, y)
-        rho = mov_map + self._fixed_map
-        psi, ex, ey = self.potential_and_field(rho)
-
-        die = self._design.die
-        fx = (np.clip(x[self._mov_idx], die.xlo, die.xhi) - die.xlo) / self.bin_w - 0.5
-        fy = (np.clip(y[self._mov_idx], die.ylo, die.yhi) - die.ylo) / self.bin_h - 0.5
-        psi_c, ex_c, ey_c = _bilinear((psi, ex, ey), fx, fy)
-        ex_c /= self.bin_w
-        ey_c /= self.bin_h
-
-        penalty = float((self._charge * psi_c).sum())
-        gx = np.zeros_like(x)
-        gy = np.zeros_like(y)
-        gx[self._mov_idx] = -self._charge * ex_c
-        gy[self._mov_idx] = -self._charge * ey_c
-
-        cap = self.target_density * self._free_area
-        total_mov = self._charge.sum()
-        ovf = float(np.maximum(mov_map - cap, 0.0).sum() / max(total_mov, 1e-12))
-        return penalty, gx, gy, ovf
+    def series(self, a: np.ndarray) -> np.ndarray:
+        """The stacked series ``sum a cos cos``, ``sum a w_u sin cos``
+        and ``sum a w_v cos sin`` at the bin centers."""
+        psi_in, ex_in, ey_in = self._inputs
+        stack = np.zeros((3,) + a.shape)
+        np.multiply(a, psi_in, out=stack[0])
+        np.multiply(a[:0:-1], ex_in, out=stack[1, 1:])
+        np.multiply(a[:, :0:-1], ey_in, out=stack[2, :, 1:])
+        out = idctn(stack, type=2, axes=(1, 2))
+        out *= self._outputs
+        return out
 
 
-# ----------------------------------------------------------------------
-# Spectral evaluation helpers
-# ----------------------------------------------------------------------
+def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.clip`` as two plain ufuncs."""
+    return np.minimum(np.maximum(a, lo), hi)
 
 
-def _eval_coscos(c: np.ndarray) -> np.ndarray:
-    """``f_mn = sum_uv c_uv cos(w_u (m+1/2)) cos(w_v (n+1/2))``."""
-    m, n = c.shape
-    d = c.copy()
-    d[0, :] *= 2.0
-    d[:, 0] *= 2.0
-    return idctn(d, type=2) * (m * n)
-
-
-def _flip_for_sin(c: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficient transform turning a sin series into a cos series.
-
-    ``sum_u c_u sin(w_u (m+1/2)) = (-1)^m sum_u z_u cos(w_u (m+1/2))``
-    with ``z_0 = 0`` and ``z_u = c_{M-u}``.
-    """
-    z = np.zeros_like(c)
-    if axis == 0:
-        z[1:, :] = c[:0:-1, :]
-    else:
-        z[:, 1:] = c[:, :0:-1]
-    return z
-
-
-def _eval_sincos(c: np.ndarray) -> np.ndarray:
-    """``f_mn = sum_uv c_uv sin(w_u (m+1/2)) cos(w_v (n+1/2))``."""
-    out = _eval_coscos(_flip_for_sin(c, axis=0))
-    signs = np.where(np.arange(c.shape[0]) % 2 == 0, 1.0, -1.0)
-    return out * signs[:, None]
-
-
-def _eval_cossin(c: np.ndarray) -> np.ndarray:
-    """``f_mn = sum_uv c_uv cos(w_u (m+1/2)) sin(w_v (n+1/2))``."""
-    out = _eval_coscos(_flip_for_sin(c, axis=1))
-    signs = np.where(np.arange(c.shape[1]) % 2 == 0, 1.0, -1.0)
-    return out * signs[None, :]
-
-
-def _bilinear(grids: tuple, fx: np.ndarray, fy: np.ndarray) -> list:
+def _bilinear(grids: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of each (same-shape) grid at fractional
-    bin indices; the indices and weights are computed once."""
-    m, n = grids[0].shape
-    fx = np.clip(fx, 0.0, m - 1.0)
-    fy = np.clip(fy, 0.0, n - 1.0)
-    i0 = np.clip(np.floor(fx).astype(np.int64), 0, m - 1)
-    j0 = np.clip(np.floor(fy).astype(np.int64), 0, n - 1)
-    i1 = np.minimum(i0 + 1, m - 1)
-    j1 = np.minimum(j0 + 1, n - 1)
+    bin indices, from one gather of all four corners of every grid.
+
+    The four weighted corner terms are summed in order from ``-0.0``
+    (the exact additive identity), so the result matches the written-out
+    ``g00*ux*uy + g10*tx*uy + g01*ux*ty + g11*tx*ty`` bit for bit.
+    """
+    grids = np.asarray(grids)
+    m, n = grids.shape[1:]
+    fx = _clamp(fx, 0.0, m - 1.0)
+    fy = _clamp(fy, 0.0, n - 1.0)
+    i0 = np.floor(fx).astype(np.int64)
+    j0 = np.floor(fy).astype(np.int64)
     tx = fx - i0
     ty = fy - j0
     ux = 1 - tx
     uy = 1 - ty
-    corners = (i0 * n + j0, i1 * n + j0, i0 * n + j1, i1 * n + j1)
-    out = []
-    for grid in grids:
-        g00, g10, g01, g11 = (grid.ravel().take(c) for c in corners)
-        out.append(g00 * ux * uy + g10 * tx * uy + g01 * ux * ty + g11 * tx * ty)
-    return out
+    r0 = i0 * n
+    r1 = np.minimum(i0 + 1, m - 1) * n
+    j1 = np.minimum(j0 + 1, n - 1)
+    corners = np.stack((r0 + j0, r1 + j0, r0 + j1, r1 + j1))
+    terms = grids.reshape(len(grids), -1).take(corners, axis=1)
+    terms *= np.stack((ux, tx, ux, tx))
+    terms *= np.stack((uy, uy, ty, ty))
+    return np.add.reduce(terms, axis=1, initial=-0.0)

@@ -105,7 +105,13 @@ class GlobalPlacer:
         self.density = ElectrostaticDensity(design, self.params)
         self.wirelength = WirelengthModel(design)
         self._mov = np.flatnonzero(design.movable)
-        self._pin_counts = np.bincount(design.pin_cell, minlength=design.num_cells)
+        pin_counts = np.bincount(design.pin_cell, minlength=design.num_cells)
+        self._pin_counts = pin_counts[self._mov]
+        # Feasible box of the movable centers: every cell inside the die.
+        die = design.die
+        half_w, half_h = design.w[self._mov] / 2, design.h[self._mov] / 2
+        self._lo = np.concatenate((die.xlo + half_w, die.ylo + half_h))
+        self._hi = np.concatenate((die.xhi - half_w, die.yhi - half_h))
         self.iteration = 0
         self.overflow = 1.0
         self.hpwl = 0.0
@@ -126,49 +132,27 @@ class GlobalPlacer:
     # Gradient plumbing
     # ------------------------------------------------------------------
 
-    def _unpack(self, z: np.ndarray) -> tuple:
-        x = self.design.x.copy()
-        y = self.design.y.copy()
-        n = len(self._mov)
-        x[self._mov] = z[:n]
-        y[self._mov] = z[n:]
-        return x, y
+    def _project(self, z: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(z, self._lo), self._hi)
 
-    def _pack(self) -> np.ndarray:
+    def _evaluate(self, z: np.ndarray) -> tuple:
+        """WA and density gradients at ``z``, in movable order."""
+        x, y = self.design.x.copy(), self.design.y.copy()
+        x[self._mov], y[self._mov] = np.split(z, 2)
+        _, gwx, gwy = self.wirelength.wa_and_grad(x, y, self.gamma)
+        _, gdx, gdy, self._eval_overflow = self.density.penalty_and_grad(x, y)
+        return gwx[self._mov], gwy[self._mov], gdx, gdy
+
+    def _combine(self, gwx, gwy, gdx, gdy) -> np.ndarray:
+        """Preconditioned gradient of ``W + lambda * D``."""
+        lam = self.penalty_factor
+        precond = np.maximum(self._pin_counts + lam * self.density.charge, 1.0)
         return np.concatenate(
-            [self.design.x[self._mov], self.design.y[self._mov]]
+            ((gwx + lam * gdx) / precond, (gwy + lam * gdy) / precond)
         )
 
-    def _project(self, z: np.ndarray) -> np.ndarray:
-        die = self.design.die
-        n = len(self._mov)
-        half_w = self.design.w[self._mov] / 2
-        half_h = self.design.h[self._mov] / 2
-        z = z.copy()
-        z[:n] = np.clip(z[:n], die.xlo + half_w, die.xhi - half_w)
-        z[n:] = np.clip(z[n:], die.ylo + half_h, die.yhi - half_h)
-        return z
-
     def _gradient(self, z: np.ndarray) -> np.ndarray:
-        x, y = self._unpack(z)
-        _, gwx, gwy = self.wirelength.wa_and_grad(x, y, self.gamma)
-        _, gdx, gdy, ovf = self.density.penalty_and_grad(x, y)
-        self._eval_overflow = ovf
-        lam = self.penalty_factor
-        charge = np.zeros(self.design.num_cells)
-        charge[self.density.movable_indices] = self.density.charge
-        precond = np.maximum(self._pin_counts + lam * charge, 1.0)
-        gx = (gwx + lam * gdx) / precond
-        gy = (gwy + lam * gdy) / precond
-        return np.concatenate([gx[self._mov], gy[self._mov]])
-
-    def _initial_penalty_factor(self, z: np.ndarray) -> float:
-        x, y = self._unpack(z)
-        _, gwx, gwy = self.wirelength.wa_and_grad(x, y, self.gamma)
-        _, gdx, gdy, _ = self.density.penalty_and_grad(x, y)
-        wl_norm = float(np.abs(gwx[self._mov]).sum() + np.abs(gwy[self._mov]).sum())
-        d_norm = float(np.abs(gdx[self._mov]).sum() + np.abs(gdy[self._mov]).sum())
-        return wl_norm / max(d_norm, 1e-12)
+        return self._combine(*self._evaluate(z))
 
     # ------------------------------------------------------------------
     # Main loop
@@ -203,14 +187,19 @@ class GlobalPlacer:
         base_gamma = params.gamma_scale * max(self.density.bin_w, self.density.bin_h)
         self.overflow = self.density.overflow(design.x, design.y)
         self.gamma = gamma_schedule(base_gamma, self.overflow)
-        z = self._project(self._pack())
-        self.penalty_factor = self._initial_penalty_factor(z)
-        self._eval_overflow = self.overflow
-
-        g0 = self._gradient(z)
+        z = self._project(np.concatenate((design.x[self._mov], design.y[self._mov])))
+        # One evaluation at the start point sets the penalty factor (WA
+        # and density gradient norms balanced) and seeds the optimizer.
+        grads = self._evaluate(z)
+        wl_norm = float(np.abs(grads[0]).sum() + np.abs(grads[1]).sum())
+        d_norm = float(np.abs(grads[2]).sum() + np.abs(grads[3]).sum())
+        self.penalty_factor = wl_norm / max(d_norm, 1e-12)
+        g0 = self._combine(*grads)
         g_inf = float(np.abs(g0).max()) if len(g0) else 1.0
         initial_step = 0.1 * self.density.bin_w / max(g_inf, 1e-12)
-        optimizer = NesterovOptimizer(self._gradient, self._project, z, initial_step)
+        optimizer = NesterovOptimizer(
+            self._gradient, self._project, z, initial_step, g0=g0
+        )
 
         hpwl_prev = self.wirelength.hpwl(design.x, design.y)
         hpwl_ref = max(params.delta_hpwl_ref_frac * max(hpwl_prev, 1.0), 1e-9)
@@ -224,16 +213,14 @@ class GlobalPlacer:
             self.iteration = k
             with obs.span("gp/iteration", i=k) as it_span:
                 z = optimizer.step()
-                x, y = self._unpack(z)
-                design.x[:] = x
-                design.y[:] = y
+                design.x[self._mov], design.y[self._mov] = np.split(z, 2)
                 self.overflow = self._eval_overflow
-                self.hpwl = self.wirelength.hpwl(x, y)
+                self.hpwl = self.wirelength.hpwl(design.x, design.y)
 
                 # Penalty-factor schedule (ePlace): reward HPWL reduction.
                 delta = self.hpwl - hpwl_prev
                 mu = params.lambda_mu_max ** (1.0 - delta / hpwl_ref)
-                mu = float(np.clip(mu, params.lambda_mu_min, params.lambda_mu_max))
+                mu = float(min(max(mu, params.lambda_mu_min), params.lambda_mu_max))
                 self.penalty_factor *= mu
                 hpwl_prev = self.hpwl
                 self.gamma = gamma_schedule(base_gamma, self.overflow)

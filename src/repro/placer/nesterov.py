@@ -27,6 +27,8 @@ class NesterovOptimizer:
             box (die bounds); applied to every candidate.
         z0: initial solution.
         initial_step: first steplength (before Lipschitz prediction).
+        g0: the gradient at the projected ``z0``, when the caller has
+            already evaluated it; otherwise the first step evaluates it.
         backtracks: maximum extra gradient evaluations per iteration.
         shrink_tolerance: accept the predicted step when the re-estimated
             steplength is at least this fraction of it.
@@ -40,6 +42,7 @@ class NesterovOptimizer:
         initial_step: float,
         backtracks: int = 2,
         shrink_tolerance: float = 0.95,
+        g0: np.ndarray | None = None,
     ) -> None:
         self._grad_fn = grad_fn
         self._project = project_fn
@@ -47,7 +50,7 @@ class NesterovOptimizer:
         self.v = self.u.copy()
         self._a = 1.0
         self._alpha = float(initial_step)
-        self._g_v = None
+        self._g_v = g0
         self._backtracks = backtracks
         self._tol = shrink_tolerance
         self.grad_evals = 0

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.placer import ElectrostaticDensity, PlacementParams, auto_grid_dim
-from repro.placer.density import (
-    _bilinear,
-    _eval_coscos,
-    _eval_cossin,
-    _eval_sincos,
-)
+from repro.placer.density import _bilinear, _PoissonSolver
+
+from .gp_oracle import OracleDensity
 
 
 class TestAutoGrid:
@@ -31,12 +28,12 @@ class TestSpectral:
         wu = np.pi * np.arange(m) / m
         wv = np.pi * np.arange(n) / n
 
-        def direct(fu, fv):
+        def direct(coef, fu, fv):
             out = np.zeros((m, n))
             for mm in range(m):
                 for nn in range(n):
                     out[mm, nn] = sum(
-                        c[u, v] * fu(wu[u], mm) * fv(wv[v], nn)
+                        coef[u, v] * fu(wu[u], mm) * fv(wv[v], nn)
                         for u in range(m)
                         for v in range(n)
                     )
@@ -44,9 +41,12 @@ class TestSpectral:
 
         cos = lambda w, k: np.cos(w * (k + 0.5))
         sin = lambda w, k: np.sin(w * (k + 0.5))
-        assert np.allclose(_eval_coscos(c), direct(cos, cos), atol=1e-10)
-        assert np.allclose(_eval_sincos(c), direct(sin, cos), atol=1e-10)
-        assert np.allclose(_eval_cossin(c), direct(cos, sin), atol=1e-10)
+        # series(c) stacks the cos-cos series of c with the sin-cos and
+        # cos-sin series of c times the frequency along the sine.
+        coscos, sincos, cossin = _PoissonSolver(m, n).series(c)
+        assert np.allclose(coscos, direct(c, cos, cos), atol=1e-10)
+        assert np.allclose(sincos, direct(c * wu[:, None], sin, cos), atol=1e-10)
+        assert np.allclose(cossin, direct(c * wv[None, :], cos, sin), atol=1e-10)
 
     def test_poisson_solution_on_single_mode(self, small_design):
         """For a pure cosine mode the analytic solution is known exactly:
@@ -133,12 +133,44 @@ class TestDensityMap:
         _, gx, _, _ = density.penalty_and_grad(x, y)
         # Descent direction is -gx; moving away from the cluster (further
         # right) must reduce the penalty: gx > 0 is wrong, gx < 0 right.
-        assert gx[probe] < 0
+        # The gradient is in movable order, and the probe is movable 0.
+        assert gx[0] < 0
 
     def test_set_sizes_length_mismatch_raises(self, small_design):
         density = ElectrostaticDensity(small_design)
         with pytest.raises(ValueError):
             density.set_sizes(np.ones(3), np.ones(3))
+
+
+class TestAgainstPerGridOracle:
+    """One stacked solve and sample reproduce the per-grid path bit for bit."""
+
+    @pytest.mark.parametrize("dim", [16, 32, 64, 128])
+    def test_penalty_and_grad_identical(self, small_design, rng, dim):
+        params = PlacementParams(grid_dim=dim)
+        density = ElectrostaticDensity(small_design, params)
+        oracle = OracleDensity(small_design, params)
+        die = small_design.die
+        x = rng.uniform(die.xlo, die.xhi, small_design.num_cells)
+        y = rng.uniform(die.ylo, die.yhi, small_design.num_cells)
+        for w_scale in (1.0, 1.7):
+            w_eff = small_design.w * w_scale
+            density.set_sizes(w_eff, small_design.h)
+            oracle.set_sizes(w_eff, small_design.h)
+            got = density.penalty_and_grad(x, y)
+            want = oracle.penalty_and_grad(x, y)
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("dim", [16, 32, 64, 128])
+    def test_potential_and_field_identical(self, small_design, rng, dim):
+        params = PlacementParams(grid_dim=dim)
+        rho = rng.random((dim, dim)) * 10.0
+        got = ElectrostaticDensity(small_design, params).potential_and_field(rho)
+        want = OracleDensity(small_design, params).potential_and_field(rho)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestBilinear:

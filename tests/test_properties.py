@@ -9,8 +9,8 @@ from repro.benchgen import GeneratorSpec, generate_design
 from repro.core import PaddingEngine, StrategyParams, combine_congestion
 from repro.core.features import FEATURE_NAMES, FeatureSet
 from repro.legalizer import discretize_padding, legalize_abacus
-from repro.netlist import check_legal, validate_design
-from repro.placer.wirelength import _wa_direction
+from repro.netlist import DesignBuilder, Rect, Technology, check_legal, validate_design
+from repro.placer import WirelengthModel
 
 slow_settings = settings(
     max_examples=10,
@@ -61,6 +61,18 @@ class TestGeneratorProperties:
         assert check_legal(design).ok
 
 
+def single_net_wa(coords, gamma):
+    """WA length and per-pin x gradient of one net with a pin at each of
+    ``coords`` on the x axis (all at y = 0, so y adds nothing)."""
+    builder = DesignBuilder("net", Technology(), Rect(-100, -100, 100, 100))
+    net = builder.add_net("n")
+    for i in range(len(coords)):
+        builder.add_pin(builder.add_cell(f"c{i}", 1, 1), net)
+    model = WirelengthModel(builder.build())
+    wa, grad, _ = model.wa_and_grad(np.asarray(coords), np.zeros(len(coords)), gamma)
+    return wa, grad
+
+
 class TestWirelengthProperties:
     @given(
         coords=st.lists(st.floats(-100, 100), min_size=2, max_size=12),
@@ -69,9 +81,7 @@ class TestWirelengthProperties:
     @settings(max_examples=60, deadline=None)
     def test_wa_bounded_by_span(self, coords, gamma):
         p = np.asarray(coords)
-        starts = np.array([0])
-        repeat = np.array([len(p)])
-        wa, grad = _wa_direction(p, starts, repeat, gamma)
+        wa, grad = single_net_wa(p, gamma)
         span = p.max() - p.min()
         assert wa <= span + 1e-6
         assert np.isfinite(grad).all()
@@ -82,10 +92,8 @@ class TestWirelengthProperties:
     @settings(max_examples=60, deadline=None)
     def test_wa_tightens_with_gamma(self, coords):
         p = np.asarray(coords)
-        starts = np.array([0])
-        repeat = np.array([len(p)])
-        wa_tight, _ = _wa_direction(p, starts, repeat, 0.05)
-        wa_loose, _ = _wa_direction(p, starts, repeat, 10.0)
+        wa_tight, _ = single_net_wa(p, 0.05)
+        wa_loose, _ = single_net_wa(p, 10.0)
         span = p.max() - p.min()
         assert abs(wa_tight - span) <= abs(wa_loose - span) + 1e-6
 

@@ -5,7 +5,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netlist import DesignBuilder, Rect, Technology
 from repro.placer import WirelengthModel, gamma_schedule
+
+from .gp_oracle import OracleWirelength, oracle_design_hpwl, oracle_net_bboxes
+
+
+def random_netlist(seed: int):
+    """A random netlist with positions ``(design, x, y)``: fixed and
+    movable cells, empty and single-pin nets, nets of 9 to 14 pins, and
+    coincident pins."""
+    rng = np.random.default_rng(seed)
+    builder = DesignBuilder("wa", Technology(), Rect(0, 0, 100, 100))
+    n = int(rng.integers(2, 40))
+    cells = [
+        builder.add_cell(f"c{i}", 4.0, 8.0, movable=bool(rng.random() < 0.7))
+        for i in range(n)
+    ]
+    degrees = [0, 1, int(rng.integers(9, 15))]
+    degrees += rng.integers(0, 15, size=int(rng.integers(0, 12))).tolist()
+    for j in rng.permutation(len(degrees)):
+        net = builder.add_net(f"n{j}")
+        for _ in range(degrees[j]):
+            builder.add_pin(
+                cells[int(rng.integers(n))], net,
+                dx=float(rng.uniform(-2, 2)), dy=float(rng.uniform(-4, 4)),
+            )
+    design = builder.build()
+    x = rng.uniform(0, 100, n)
+    y = rng.uniform(0, 100, n)
+    x[: n // 4] = x[0]
+    return design, x, y
+
+
+class TestAgainstPerAxisOracle:
+    """The stacked x|y evaluation does the per-axis arithmetic, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.05, 50.0))
+    @settings(max_examples=80, deadline=None)
+    def test_wa_and_grad_identical(self, seed, gamma):
+        design, x, y = random_netlist(seed)
+        wl, gx, gy = WirelengthModel(design).wa_and_grad(x, y, gamma)
+        wl_ref, gx_ref, gy_ref = OracleWirelength(design).wa_and_grad(x, y, gamma)
+        assert wl == wl_ref
+        assert np.array_equal(gx, gx_ref)
+        assert np.array_equal(gy, gy_ref)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_hpwl_and_bboxes_identical(self, seed):
+        design, x, y = random_netlist(seed)
+        assert WirelengthModel(design).hpwl(x, y) == OracleWirelength(design).hpwl(x, y)
+        design.x[:], design.y[:] = x, y
+        assert design.hpwl() == oracle_design_hpwl(design)
+        for got, want in zip(design.net_bboxes(), oracle_net_bboxes(design)):
+            assert np.array_equal(got, want)
+
+    def test_generated_design_identical(self, small_design, rng):
+        die = small_design.die
+        x = rng.uniform(die.xlo, die.xhi, small_design.num_cells)
+        y = rng.uniform(die.ylo, die.yhi, small_design.num_cells)
+        for gamma in (0.05, 1.0, 8.0, 50.0):
+            got = WirelengthModel(small_design).wa_and_grad(x, y, gamma)
+            want = OracleWirelength(small_design).wa_and_grad(x, y, gamma)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
 
 
 class TestHPWL:
