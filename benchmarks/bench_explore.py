@@ -4,9 +4,10 @@ Runs the same TPE strategy exploration twice with a fixed-latency
 synthetic evaluation (every trial costs ``--eval-ms`` of wall clock, a
 stand-in for a real place+route):
 
-* **serial** — ``batch_size=1`` through the local
-  :func:`repro.core.exploration.make_batch_evaluator`, the pre-PR-10
-  CLI path: one trial at a time, end to end;
+* **serial** — ``batch_size=1`` through
+  :func:`repro.core.exploration.make_batch_evaluator` with its default
+  in-process transport (the ``repro explore --jobs 1`` path): one
+  trial at a time, end to end;
 * **distributed** — ``batch_size == --shards`` through a
   :class:`repro.serve.DistributedEvaluator` over a
   :class:`repro.serve.LocalServiceHost` (the ``repro explore --jobs N``

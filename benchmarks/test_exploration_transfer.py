@@ -10,7 +10,7 @@ against the hand-set defaults on other designs.
 
 from repro.benchgen import EXPLORATION_DESIGN, make_design
 from repro.core import PufferPlacer, StrategyParams
-from repro.core.exploration import make_placement_objective, strategy_exploration
+from repro.core.exploration import PlacementObjective, strategy_exploration
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
 
@@ -31,7 +31,7 @@ def _evaluate(design_name, scale, strategy, placement) -> float:
 
 def test_exploration_transfer(benchmark, scale, out_dir):
     placement = PlacementParams(max_iters=700)
-    objective = make_placement_objective(
+    objective = PlacementObjective(
         lambda: make_design(EXPLORATION_DESIGN, EXPLORE_SCALE),
         placement=placement,
     )

@@ -17,7 +17,7 @@ import sys
 
 from repro.benchgen import EXPLORATION_DESIGN, make_design
 from repro.core import PufferPlacer, StrategyParams
-from repro.core.exploration import make_placement_objective, strategy_exploration
+from repro.core.exploration import PlacementObjective, strategy_exploration
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     explore_scale = 0.008  # small but genuinely congested (Sec. III-C)
     evaluations = {"count": 0}
-    base_objective = make_placement_objective(
+    base_objective = PlacementObjective(
         lambda: make_design(EXPLORATION_DESIGN, explore_scale),
         placement=PlacementParams(max_iters=700),
     )

@@ -585,6 +585,21 @@ class ExploreConfig:
                 f"prior_limit must be a non-negative int, got {self.prior_limit!r}"
             )
 
+    def objective(self):
+        """The :class:`~repro.core.exploration.PlacementObjective` this
+        config explores.
+
+        The one place an exploration config becomes an objective.  The
+        objective fixes the journal keys, so every transport that builds
+        it here — the local evaluator and the serve tier's
+        ``DistributedEvaluator`` alike — can resume the other's journal.
+        """
+        from .core.exploration import PlacementObjective, SuiteDesignFactory
+
+        return PlacementObjective(
+            SuiteDesignFactory(self.design, self.scale), wl_weight=self.wl_weight
+        )
+
     @property
     def resolved_group_evals(self) -> int:
         return self.group_evals if self.group_evals is not None else max(self.budget // 3, 3)
@@ -615,9 +630,9 @@ class _RecordingEvaluator:
     The wrapper is loss- and RNG-transparent: it forwards each batch
     unchanged and returns the inner losses unchanged, so wrapping does
     not perturb the exploration.  Per-trial measurements come from the
-    inner evaluator's ``last_details`` when it publishes them
-    (:func:`repro.core.exploration.make_batch_evaluator` and the serve
-    tier's ``DistributedEvaluator`` both do).
+    inner evaluator's ``last_details`` when it publishes them (every
+    :func:`repro.core.exploration.make_batch_evaluator` does, whatever
+    its transport).
     """
 
     def __init__(self, inner, on_trial=None) -> None:
@@ -723,18 +738,11 @@ def run_exploration(
     Returns:
         An :class:`ExplorationOutcome`.
     """
-    from .core.exploration import (
-        SuiteDesignFactory,
-        make_batch_evaluator,
-        make_placement_objective,
-        strategy_exploration,
-    )
+    from .core.exploration import make_batch_evaluator, strategy_exploration
     from .core.strategy import default_space
 
     config = config or ExploreConfig()
-    objective = make_placement_objective(
-        SuiteDesignFactory(config.design, config.scale), wl_weight=config.wl_weight
-    )
+    objective = config.objective()
     recorder = _RecordingEvaluator(
         evaluator if evaluator is not None else make_batch_evaluator(objective),
         on_trial=on_trial,
@@ -810,11 +818,7 @@ def explore(
     Returns:
         The :class:`repro.core.exploration.ExplorationReport`.
     """
-    from .core.exploration import (
-        SuiteDesignFactory,
-        make_placement_objective,
-        strategy_exploration,
-    )
+    from .core.exploration import strategy_exploration
 
     if config is None:
         config = ExploreConfig(
@@ -824,12 +828,9 @@ def explore(
             seed=seed,
             batch_size=batch_size,
         )
-    objective = make_placement_objective(
-        SuiteDesignFactory(config.design, config.scale), wl_weight=config.wl_weight
-    )
     with obs.tracing(trace):
         return strategy_exploration(
-            objective,
+            config.objective(),
             global_evals=config.budget,
             group_evals=config.resolved_group_evals,
             patience=config.resolved_patience,

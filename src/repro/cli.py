@@ -545,26 +545,18 @@ def cmd_explore(args) -> int:
                 trace=args.trace,
             )
     else:
-        from .core.exploration import (
-            SuiteDesignFactory,
-            make_batch_evaluator,
-            make_placement_objective,
-        )
+        from .core.exploration import make_batch_evaluator
 
         telemetry = Telemetry()
         evaluator = None
         priors = None
         if journal is not None:
-            objective = make_placement_objective(
-                SuiteDesignFactory(config.design, config.scale),
-                wl_weight=config.wl_weight,
-            )
             cache = (
                 ArtifactCache(args.cache_dir, telemetry=telemetry)
                 if args.cache_dir else None
             )
             evaluator = make_batch_evaluator(
-                objective, cache=cache, journal=journal
+                config.objective(), cache=cache, journal=journal
             )
             if allow_priors and cache is not None:
                 priors = TransferPriors(cache)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .. import obs
 from ..runtime import MISSING, stable_hash
-from ..runtime.executor import Task
 from ..tpe import Choice, Space, TPESampler, minimize
 from .strategy import PARAM_GROUPS, StrategyParams, default_space
 
@@ -141,49 +140,40 @@ class PlacementObjective:
             return None
 
 
-def make_placement_objective(
-    design_factory,
-    placement=None,
-    wl_weight: float = 0.02,
-    router_params=None,
-) -> PlacementObjective:
-    """Package the paper's evaluation function (see :class:`PlacementObjective`).
-
-    Returns:
-        A callable ``params_dict -> float`` for
-        :func:`strategy_exploration`.
-    """
-    return PlacementObjective(
-        design_factory,
-        placement=placement,
-        wl_weight=wl_weight,
-        router_params=router_params,
-    )
-
-
-def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
+def make_batch_evaluator(objective, cache=None, journal=None, transport=None):
     """Build a ``list[params] -> list[loss]`` batch evaluator.
 
     Used as the ``evaluator`` of :func:`strategy_exploration` /
-    :func:`repro.tpe.minimize` to add concurrency and artifact reuse
-    around an expensive objective:
+    :func:`repro.tpe.minimize`.  It is the one place that turns raw
+    evaluations into losses: it replays the journal, reads the cache,
+    journals successes and failures, and shapes losses parent-side in
+    suggestion order.  Where a candidate is evaluated is up to
+    ``transport``:
 
-    * with an ``executor``, candidates are evaluated across worker
-      processes (``executor.map``);
+    * ``transport(pending)`` receives the candidates no journal or
+      cache entry answered and returns, per candidate in order, either
+      a ``(raw, cached)`` pair or the exception that candidate failed
+      with.  The default evaluates in-process with
+      ``objective.evaluate_raw`` (``cached=False``);
+      :class:`repro.serve.DistributedEvaluator` ships the candidates to
+      a placement service instead.  An exception the transport
+      *raises* (e.g. cancellation) aborts the whole batch and is never
+      journaled.
     * with a ``cache`` (:class:`repro.runtime.ArtifactCache`) and/or a
       ``journal`` (:class:`repro.runtime.Journal`), raw evaluations are
       reused across runs — because exploration RNG is deterministic, a
-      killed run resumes by replaying its journal hits at full speed.
+      killed run resumes by replaying its journal hits at full speed,
+      whichever transport wrote the journal.
 
     Objectives exposing the :class:`PlacementObjective` split
     (``evaluate_raw`` / ``loss_from_raw`` / ``cache_key``) get caching
     and parent-side loss shaping; plain callables are mapped directly
     (and are never cached, since their configuration is unknown).
 
-    A trial whose evaluation raises does not abort the exploration: it
-    scores :data:`FAILED_TRIAL_LOSS` and — when a journal is attached —
-    leaves a ``failed`` record, so a ``--resume`` replays the failure
-    instead of re-running the poisoned params on every restart.
+    A trial that fails does not abort the exploration: it scores
+    :data:`FAILED_TRIAL_LOSS` and — when a journal is attached — leaves
+    a ``failed`` record, so a ``--resume`` replays the failure instead
+    of re-running the poisoned params on every restart.
 
     After each call the evaluator exposes ``evaluate.last_details``: one
     dict per candidate (``overflow``/``wirelength``/``cached`` for
@@ -194,6 +184,16 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
     key_fn = getattr(objective, "cache_key", None)
     loss_fn = getattr(objective, "loss_from_raw", None)
     structured = raw_fn is not None and key_fn is not None and loss_fn is not None
+    if transport is None:
+        def transport(pending: list) -> list:
+            outcomes = []
+            for params in pending:
+                try:
+                    outcomes.append((raw_fn(params), False))
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+
     journaled: dict = {}
     if journal is not None:
         for record in journal.records():
@@ -205,9 +205,7 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
     def evaluate(batch: list) -> list:
         evaluate.last_details = [None] * len(batch)
         if not structured:
-            if executor is None:
-                return [objective(params) for params in batch]
-            return executor.map(objective, batch, key_prefix="trial")
+            return [objective(params) for params in batch]
         keys = [key_fn(params) for params in batch]
         raws: list = [None] * len(batch)
         details: list = evaluate.last_details
@@ -225,47 +223,31 @@ def make_batch_evaluator(objective, executor=None, cache=None, journal=None):
                     todo.append(i)
             else:
                 todo.append(i)
-        if todo:
-            pending = [batch[i] for i in todo]
-            if executor is None:
-                fresh = []
-                for params in pending:
-                    try:
-                        fresh.append(raw_fn(params))
-                    except Exception as exc:
-                        fresh.append(exc)
-            else:
-                tasks = [
-                    Task(key=f"trial-{i}", fn=raw_fn, args=(params,))
-                    for i, params in enumerate(pending)
-                ]
-                fresh = [
-                    result.value if result.ok else result.error
-                    for result in executor.run(tasks)
-                ]
-            for i, raw in zip(todo, fresh):
-                if isinstance(raw, BaseException):
-                    raws[i] = _TRIAL_FAILED
-                    details[i] = {"cached": False, "error": str(raw)}
-                    if keys[i] is not None and journal is not None:
-                        journal.append(
-                            {"key": keys[i],
-                             "failed": f"{type(raw).__name__}: {raw}"}
-                        )
-                        journaled[keys[i]] = _TRIAL_FAILED
-                    continue
-                raw = (float(raw[0]), float(raw[1]))
-                raws[i] = raw
-                details[i] = {"cached": False}
-                if keys[i] is None:
-                    continue
-                if cache is not None:
-                    cache.put(keys[i], raw)
-                if journal is not None:
+        outcomes = transport([batch[i] for i in todo]) if todo else []
+        for i, outcome in zip(todo, outcomes):
+            if isinstance(outcome, BaseException):
+                raws[i] = _TRIAL_FAILED
+                details[i] = {"cached": False, "error": str(outcome)}
+                if keys[i] is not None and journal is not None:
                     journal.append(
-                        {"key": keys[i], "overflow": raw[0], "wirelength": raw[1]}
+                        {"key": keys[i],
+                         "failed": f"{type(outcome).__name__}: {outcome}"}
                     )
-                    journaled[keys[i]] = raw
+                    journaled[keys[i]] = _TRIAL_FAILED
+                continue
+            raw, cached = outcome
+            raw = (float(raw[0]), float(raw[1]))
+            raws[i] = raw
+            details[i] = {"cached": bool(cached)}
+            if keys[i] is None:
+                continue
+            if cache is not None:
+                cache.put(keys[i], raw)
+            if journal is not None:
+                journal.append(
+                    {"key": keys[i], "overflow": raw[0], "wirelength": raw[1]}
+                )
+                journaled[keys[i]] = raw
         losses = []
         for i, raw in enumerate(raws):
             if raw is _TRIAL_FAILED:
@@ -426,8 +408,8 @@ def strategy_exploration(
             protocol; larger batches evaluate concurrently through
             ``evaluator`` at a small sequential-information cost.
         evaluator: optional batch evaluator over full parameter dicts
-            (see :func:`make_batch_evaluator`); adds process-pool
-            concurrency and cached/journaled evaluations.
+            (see :func:`make_batch_evaluator`); adds cached/journaled
+            evaluations and, through its transport, concurrency.
         warm_start: prior ``(full_params, loss)`` observations seeding
             the *global* stage's TPE split (transfer priors from other
             designs); the grouped refinements run on this design's own

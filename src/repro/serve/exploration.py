@@ -2,9 +2,8 @@
 
 Strategy exploration (paper Sec. III-C) is embarrassingly parallel
 inside each TPE round — the sampler suggests ``batch_size`` candidates
-before any of them is evaluated — but the PR-3 evaluator only spread a
-batch over a local process pool.  This module re-platforms the
-evaluation onto :class:`repro.serve.service.PlacementService`, so every
+before any of them is evaluated.  This module evaluates those
+candidates on :class:`repro.serve.service.PlacementService`, so every
 trial inherits the service's whole stack for free: execution shards,
 submit-time memoization and in-flight coalescing, the shared-design
 cache, fair queueing, and crash quarantine (a trial that kills its
@@ -12,21 +11,19 @@ worker fails *that job*, not the exploration).
 
 Three layers:
 
-* :class:`DistributedEvaluator` — a drop-in ``list[params] ->
-  list[loss]`` batch evaluator (the contract of
-  :func:`repro.core.exploration.make_batch_evaluator`).  Each candidate
+* :class:`DistributedEvaluator` — the remote *transport* of
+  :func:`repro.core.exploration.make_batch_evaluator`.  Each candidate
   becomes one job request (``route=True``, the candidate's
   :class:`~repro.core.strategy.StrategyParams` inside a
   :class:`repro.api.RunConfig`); the whole wave is submitted before any
-  result is awaited, so trials saturate every shard.  Raw
+  result is awaited, so trials saturate every shard, and raw
   ``(total_overflow, wirelength)`` results come back in suggestion
-  order and the loss is shaped *parent-side* with the same stateful
-  wirelength reference the serial objective uses — which is why
-  ``batch_size=1`` through this evaluator is bit-identical to the
-  serial loop.  A failed job scores
-  :data:`repro.core.exploration.FAILED_TRIAL_LOSS` (and leaves a
-  ``failed`` journal record when a journal is attached), never aborting
-  the exploration.
+  order.  Journal replay, failed-trial journaling, the
+  :data:`repro.core.exploration.FAILED_TRIAL_LOSS` penalty and the
+  parent-side loss shaping all stay in ``make_batch_evaluator`` — the
+  same code the local evaluator runs, which is why ``batch_size=1``
+  through the service is bit-identical to the serial loop and either
+  transport can ``--resume`` the other's journal.
 * :class:`ExplorationManager` — the ``/v1/explorations`` resource:
   creates explorations from :class:`repro.api.ExploreConfig` wire
   payloads, drives :func:`repro.api.run_exploration` on a worker thread
@@ -74,10 +71,6 @@ from .resources import (
 #: Request keys accepted by ``POST /v1/explorations``.
 _EXPLORE_KEYS = frozenset({"config", "priority", "client_id"})
 
-#: In-band marker for a trial whose job failed (local to this module;
-#: the journal wire format matches ``make_batch_evaluator``'s).
-_FAILED = object()
-
 
 class ExplorationCancelledError(ServeError):
     """Raised inside the exploration thread after a cancel request."""
@@ -86,19 +79,15 @@ class ExplorationCancelledError(ServeError):
 class DistributedEvaluator:
     """Evaluate TPE candidate batches as placement-service jobs.
 
-    A drop-in batch evaluator for :func:`repro.tpe.minimize` /
-    :func:`repro.api.run_exploration`: same call contract and the same
-    ``last_details`` protocol as
-    :func:`repro.core.exploration.make_batch_evaluator`, but each
-    candidate runs as one job through a service client — in-process
+    A batch evaluator for :func:`repro.tpe.minimize` /
+    :func:`repro.api.run_exploration`: a
+    :func:`repro.core.exploration.make_batch_evaluator` over
+    ``config.objective()`` whose transport runs each candidate as one
+    job through a service client — in-process
     (:class:`~repro.serve.client.ServiceClient`, needs the service
     ``loop``) or remote (:class:`~repro.serve.client.HttpServiceClient`).
-
-    Bit-identity with the serial loop holds because the evaluator is
-    pure transport: the sampler's suggestion RNG is untouched, raw
-    results are consumed in suggestion order, and the loss shaping
-    (including the first-evaluation wirelength reference) runs on this
-    side with the exact serial code path.
+    This class only submits, awaits and cancels; the shared evaluator
+    owns journaling, penalties, loss shaping and ``last_details``.
 
     Args:
         client: a :class:`~repro.serve.client.BaseClient`.
@@ -108,9 +97,8 @@ class DistributedEvaluator:
         loop: the service's event loop, required when ``client`` is the
             async in-process client (calls hop over via
             ``run_coroutine_threadsafe``); ignored for sync clients.
-        journal: optional :class:`repro.runtime.Journal`; raw results
-            and failures are replayed/recorded exactly like the local
-            evaluator's, so ``--resume`` works across both.
+        journal: optional :class:`repro.runtime.Journal` handed to the
+            shared evaluator (replays and records like the local one).
         timeout: per-trial wall-clock budget, seconds (becomes the job
             timeout; ``None`` = unlimited).
         priority: fair-queue priority of every submitted job.
@@ -120,36 +108,21 @@ class DistributedEvaluator:
     def __init__(self, client, config, *, loop=None, journal=None,
                  timeout: float | None = None, priority: int = 0,
                  client_id: str = "explore") -> None:
-        from ..core.exploration import (
-            SuiteDesignFactory,
-            make_placement_objective,
-        )
+        from ..core.exploration import make_batch_evaluator
 
         self.client = client
         self.config = config
         self.loop = loop
-        self.journal = journal
         self.timeout = timeout
         self.priority = int(priority)
         self.client_id = client_id
-        self.last_details: list = []
         self.jobs_submitted = 0
         self._cancelled = threading.Event()
-        # The parent-side twin of the serial objective: cache keys and
-        # stateful loss shaping, never evaluate_raw (the service does).
-        self._objective = make_placement_objective(
-            SuiteDesignFactory(config.design, config.scale),
-            wl_weight=config.wl_weight,
+        # The service caches trial results itself, so no cache here.
+        self._evaluate = make_batch_evaluator(
+            config.objective(), journal=journal,
+            transport=self._evaluate_remote,
         )
-        self._journaled: dict = {}
-        if journal is not None:
-            for record in journal.records():
-                if "overflow" in record and "wirelength" in record:
-                    self._journaled[record["key"]] = (
-                        record["overflow"], record["wirelength"],
-                    )
-                elif "failed" in record:
-                    self._journaled[record["key"]] = _FAILED
 
     # -- cancellation --------------------------------------------------
 
@@ -221,9 +194,11 @@ class DistributedEvaluator:
     def _evaluate_remote(self, pending: list) -> list:
         """Submit a wave of candidates, then collect in suggestion order.
 
-        Returns one outcome per candidate: ``(raw, cache_hit)`` on
-        success, the exception on failure (never raises for a single
-        bad trial — only for cancellation).
+        The ``transport`` of
+        :func:`~repro.core.exploration.make_batch_evaluator`: returns
+        one outcome per candidate, ``(raw, cache_hit)`` on success, the
+        exception on failure (never raises for a single bad trial —
+        only for cancellation, which aborts the batch unjournaled).
         """
         job_ids = []
         for params in pending:
@@ -261,54 +236,14 @@ class DistributedEvaluator:
     # -- the evaluator contract ----------------------------------------
 
     def __call__(self, batch: list) -> list:
-        from ..core.exploration import FAILED_TRIAL_LOSS
-
         self._check_cancelled()
-        self.last_details = [None] * len(batch)
-        details = self.last_details
-        keys = [self._objective.cache_key(params) for params in batch]
-        raws: list = [None] * len(batch)
-        todo = []
-        for i, key in enumerate(keys):
-            if key is not None and key in self._journaled:
-                raws[i] = self._journaled[key]
-                details[i] = {"cached": True}
-            else:
-                todo.append(i)
-        if todo:
-            outcomes = self._evaluate_remote([batch[i] for i in todo])
-            for i, outcome in zip(todo, outcomes):
-                if isinstance(outcome, BaseException):
-                    raws[i] = _FAILED
-                    details[i] = {"cached": False, "error": str(outcome)}
-                    if keys[i] is not None and self.journal is not None:
-                        self.journal.append(
-                            {"key": keys[i],
-                             "failed": f"{type(outcome).__name__}: {outcome}"}
-                        )
-                        self._journaled[keys[i]] = _FAILED
-                    continue
-                raw, cache_hit = outcome
-                raws[i] = raw
-                details[i] = {"cached": bool(cache_hit)}
-                if keys[i] is not None and self.journal is not None:
-                    self.journal.append(
-                        {"key": keys[i],
-                         "overflow": raw[0], "wirelength": raw[1]}
-                    )
-                    self._journaled[keys[i]] = raw
-        losses = []
-        for i, raw in enumerate(raws):
-            if raw is _FAILED:
-                losses.append(FAILED_TRIAL_LOSS)
-                details[i] = dict(details[i] or {}, failed=True)
-            else:
-                raw = (float(raw[0]), float(raw[1]))
-                losses.append(self._objective.loss_from_raw(raw))
-                details[i] = dict(
-                    details[i] or {}, overflow=raw[0], wirelength=raw[1]
-                )
-        return losses
+        return self._evaluate(batch)
+
+    @property
+    def last_details(self) -> list:
+        """Per-candidate details of the last batch (see
+        :func:`repro.core.exploration.make_batch_evaluator`)."""
+        return self._evaluate.last_details
 
 
 @dataclass

@@ -168,6 +168,31 @@ class TestBatchEvaluator:
         assert evaluate.last_details == [None, None]
 
 
+class TestTransport:
+    def test_transport_sees_only_unreplayed_candidates(self, tmp_path):
+        journal = Journal(tmp_path / "explore.jsonl")
+        objective = _StructuredObjective()
+        make_batch_evaluator(objective, journal=journal)([{"mu": 1.0}])
+        waves = []
+
+        def transport(pending):
+            waves.append([p["mu"] for p in pending])
+            return [((0.5, 105.0), True), RuntimeError("shard lost")]
+
+        evaluate = make_batch_evaluator(
+            objective, journal=Journal(journal.path), transport=transport
+        )
+        losses = evaluate([{"mu": 1.0}, {"mu": 5.0}, {"mu": 6.0}])
+        assert waves == [[5.0, 6.0]]
+        assert losses == [0.1, 0.5, FAILED_TRIAL_LOSS]
+        details = evaluate.last_details
+        assert details[1] == {"cached": True, "overflow": 0.5,
+                              "wirelength": 105.0}
+        assert details[2]["failed"] and details[2]["error"] == "shard lost"
+        records = {r["key"]: r for r in journal.records()}
+        assert records["mu=6.0"]["failed"] == "RuntimeError: shard lost"
+
+
 class TestWarmStart:
     def test_priors_seed_sampler_without_spending_evaluations(self, rng):
         space = Space([Uniform("mu", 0.0, 8.0), Uniform("tau", 0.0, 1.0)])

@@ -4,13 +4,13 @@ import pytest
 
 from repro.benchgen import make_design
 from repro.core import StrategyParams, default_space
-from repro.core.exploration import make_placement_objective
+from repro.core.exploration import PlacementObjective
 from repro.placer import PlacementParams
 
 
 @pytest.fixture(scope="module")
 def objective():
-    return make_placement_objective(
+    return PlacementObjective(
         lambda: make_design("OR1200", 0.002),
         placement=PlacementParams(max_iters=250),
     )
@@ -26,7 +26,7 @@ class TestPlacementObjective:
     def test_wirelength_tiebreak_orders_overpadding(self):
         """When overflow is zero everywhere, an over-padding config must
         score worse than a lean one via the wirelength term."""
-        objective = make_placement_objective(
+        objective = PlacementObjective(
             lambda: make_design("ASIC_ENTITY", 0.002),
             placement=PlacementParams(max_iters=250),
             wl_weight=0.05,

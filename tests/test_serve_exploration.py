@@ -72,6 +72,14 @@ def _poisoned_runner(request):
     return _explore_runner(request)
 
 
+def _poisoned_raw(params):
+    """Local twin of :func:`_poisoned_runner` (same params, same raws)."""
+    params = StrategyParams.from_dict(params).to_dict()
+    if params["mu"] == 77.0:
+        raise RuntimeError("router diverged")
+    return _fake_raw(params)
+
+
 def _slow_runner(request):
     time.sleep(0.2)
     return _explore_runner(request)
@@ -150,6 +158,75 @@ class TestDistributedEvaluator:
         assert evaluator.cancelled
         with pytest.raises(ExplorationCancelledError):
             evaluator([{"mu": 2.0}])
+
+    @pytest.mark.parametrize("writer", ["local", "distributed"])
+    def test_cross_transport_resume(self, tmp_path, monkeypatch, writer):
+        """A journal written by either transport replays under the other:
+        same losses, same cached/failed details, no evaluation."""
+        config = api.ExploreConfig(budget=4, priors="off")
+        batch = [{"mu": 77.0}, {"mu": 2.0}]
+        objective = config.objective()
+        raw_calls = []
+
+        def fake_raw(params):
+            raw_calls.append(params)
+            return _poisoned_raw(params)
+
+        monkeypatch.setattr(objective, "evaluate_raw", fake_raw)
+        journal = Journal(tmp_path / "explore.jsonl")
+        with LocalServiceHost(
+            ServiceConfig(workers=1), runner=_poisoned_runner
+        ) as host:
+            if writer == "local":
+                first = core_exploration.make_batch_evaluator(
+                    objective, journal=journal
+                )
+            else:
+                first = host.evaluator(config, journal=journal)
+            first_losses = first(batch)
+            first_details = first.last_details
+            if writer == "local":
+                second = host.evaluator(config, journal=Journal(journal.path))
+            else:
+                second = core_exploration.make_batch_evaluator(
+                    objective, journal=Journal(journal.path)
+                )
+            raw_calls.clear()
+            jobs_before = sum(host.service.healthz()["jobs"].values())
+            second_losses = second(batch)
+            jobs_after = sum(host.service.healthz()["jobs"].values())
+        assert first_losses[0] == core_exploration.FAILED_TRIAL_LOSS
+        assert second_losses == first_losses
+        assert all(d["cached"] for d in second.last_details)
+        assert [d.get("failed", False) for d in second.last_details] == [
+            d.get("failed", False) for d in first_details
+        ]
+        assert raw_calls == []
+        assert jobs_after == jobs_before
+
+    def test_cancel_mid_wave_aborts_without_journaling(self, tmp_path):
+        """A cancel raised by the transport aborts the batch: it is not a
+        failed trial, so nothing is journaled."""
+        config = api.ExploreConfig(budget=4, priors="off")
+        journal = Journal(tmp_path / "explore.jsonl")
+        with LocalServiceHost(
+            ServiceConfig(workers=1), runner=_slow_runner
+        ) as host:
+            evaluator = host.evaluator(config, journal=journal)
+            submit = evaluator._submit
+
+            def submit_then_cancel(params):
+                job_id = submit(params)
+                canceller = threading.Thread(target=evaluator.cancel)
+                canceller.start()
+                canceller.join()
+                return job_id
+
+            evaluator._submit = submit_then_cancel
+            with pytest.raises(ExplorationCancelledError):
+                evaluator([{"mu": 2.0}, {"mu": 3.0}])
+        assert evaluator.jobs_submitted == 1
+        assert not any("failed" in record for record in journal.records())
 
     def test_full_exploration_through_the_service(self):
         config = api.ExploreConfig(budget=6, batch_size=2, priors="off")
