@@ -44,7 +44,6 @@ CONFIG_KEYS = {
     "BENCH_eco.json": ("design", "scale", "seed", "edits", "quick"),
     "BENCH_serve.json": ("jobs", "hogs", "quick"),
     "BENCH_shm.json": ("design", "scale", "jobs", "quick"),
-    "BENCH_slots.json": ("netlist", "seed", "quick", "sa_iters"),
     "BENCH_explore.json": ("quick", "budget", "shards", "eval_ms", "seed"),
 }
 
@@ -63,11 +62,6 @@ FLOORS = {
     # handle must at least halve the p50 submit-to-result latency vs
     # shipping the pickled design in every request.
     "BENCH_shm.json": {"shm_latency_speedup": 2.0},
-    # Fixed-slot acceptance bar: the greedy + SA pipeline must beat a
-    # random slot assignment by >= 1.5x HPWL.  This is a deterministic
-    # quality ratio (fixed seeds), not a timing, so it holds on any
-    # machine; the measured value is ~2.4x full / ~2.1x quick.
-    "BENCH_slots.json": {"sa_hpwl_speedup": 1.5},
     # Distributed-exploration acceptance bar: wave-submitting TPE
     # batches across the service shards must at least double the serial
     # trials/sec.  Per-trial latency is a fixed synthetic sleep, so the

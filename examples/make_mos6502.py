@@ -8,7 +8,7 @@ output registers) with seeded-random combinational clouds standing in
 for the decode ROM and control PLA, mapped onto sky130-style cell
 names.  It is *not* a synthesized 6502 — it is a structurally honest
 stand-in with the right port list, register set, and netlist shape for
-exercising the Yosys frontend and the fixed-slot placement mode.
+exercising the Yosys frontend and the PUFFER place-and-route flow.
 
 Run from the repository root:
 

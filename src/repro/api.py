@@ -44,12 +44,6 @@ from .netlist.design import Design
 from .placer import PlacementParams
 from .router import GlobalRouter, RouterParams
 from .schema import dataclass_from_dict, dataclass_to_dict
-from .slots import SlotParams
-
-#: Placement modes :func:`run` understands.  ``"standard"`` places
-#: continuously with the configured flow; ``"slots"`` assigns cells to a
-#: pre-fabricated slot grid (:func:`repro.slots.place_slots`).
-MODES = ("standard", "slots")
 
 
 class UnknownFlowError(ValueError):
@@ -72,18 +66,6 @@ class UnknownFlowError(ValueError):
 def flow_puffer(design, placement=None, strategy=None):
     """The PUFFER flow (routability padding + inherited legalization)."""
     return PufferPlacer(design, strategy=strategy, placement=placement).run()
-
-
-def flow_slots(design, placement=None, params=None, seed=0):
-    """The fixed-slot flow (``mode="slots"``): grid, greedy seed, SA.
-
-    ``placement`` is accepted for flow-signature compatibility and
-    ignored — slot assignment has its own :class:`repro.slots.SlotParams`.
-    """
-    from .slots import place_slots
-
-    del placement
-    return place_slots(design, params=params, seed=seed)
 
 
 def resolve_design(design, scale: float = 0.004, seed: int = 0):
@@ -173,11 +155,6 @@ class RunConfig:
         placement: global-placement engine parameters.
         router: evaluation-router parameters.
         strategy: PUFFER strategy parameters (``None`` = defaults).
-        mode: placement mode — ``"standard"`` (default) runs the
-            configured flow; ``"slots"`` runs fixed-slot assignment
-            (:func:`repro.slots.place_slots`), ignoring ``flow``.
-        slots: fixed-slot parameters (``None`` = defaults; only
-            meaningful with ``mode="slots"``).
         verify: invariant-checker level — ``"off"`` (default),
             ``"cheap"`` (placement legality + padding accounting), or
             ``"full"`` (adds netlist integrity and routing accounting).
@@ -197,8 +174,6 @@ class RunConfig:
     placement: PlacementParams = field(default_factory=PlacementParams)
     router: RouterParams = field(default_factory=RouterParams)
     strategy: StrategyParams | None = None
-    mode: str = "standard"
-    slots: SlotParams | None = None
     verify: str = "off"
 
     def __post_init__(self) -> None:
@@ -208,12 +183,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown verify level {self.verify!r}; expected one of {LEVELS}"
             )
-        if self.mode not in MODES:
-            raise ValueError(
-                f"unknown placement mode {self.mode!r}; expected one of {MODES}"
-            )
-        if self.slots is not None:
-            self.slots.validate()
 
     def to_dict(self) -> dict:
         """JSON-safe wire dict; nested params carry their own versions."""
@@ -235,7 +204,6 @@ class RunConfig:
                 "placement": PlacementParams.from_dict,
                 "router": RouterParams.from_dict,
                 "strategy": StrategyParams.from_dict,
-                "slots": SlotParams.from_dict,
             },
         )
 
@@ -287,15 +255,6 @@ class RunResult:
                 "ok": bool(self.verify_report.ok),
                 "errors": len(self.verify_report.errors),
                 "warnings": len(self.verify_report.warnings),
-            }
-        sa = getattr(self.flow_result, "sa", None)
-        if getattr(self.flow_result, "slot_assignment", None) is not None:
-            summary["slots"] = {
-                "hpwl_initial": float(self.flow_result.hpwl_initial),
-                "hpwl_final": float(self.flow_result.hpwl_final),
-                "num_slots": int(self.flow_result.slot_grid.num_slots),
-                "sa_iterations": 0 if sa is None else int(sa.iterations),
-                "sa_accepted": 0 if sa is None else int(sa.accepted),
             }
         return summary
 
@@ -358,8 +317,7 @@ def run(
             ``config.scale`` / ``config.seed``), or a path to a Yosys
             ``*_mapped.json`` netlist (loaded via
             :func:`repro.netlist.load_yosys`).
-        flow: flow name, Table-II alias, or custom callable (ignored
-            when ``config.mode == "slots"``).
+        flow: flow name, Table-II alias, or custom callable.
         config: run configuration (defaults throughout when omitted).
         trace: observability target — a trace-file path or a
             :class:`repro.obs.Tracer`; the whole run executes under
@@ -382,13 +340,7 @@ def run(
     verify = config.verify if verify is None else verify
     if verify not in LEVELS:
         raise ValueError(f"unknown verify level {verify!r}; expected one of {LEVELS}")
-    if config.mode == "slots":
-        flow_name = "slots"
-        flow_fn = functools.partial(
-            flow_slots, params=config.slots, seed=config.seed
-        )
-    else:
-        flow_name, flow_fn = resolve_flow(flow, strategy=config.strategy)
+    flow_name, flow_fn = resolve_flow(flow, strategy=config.strategy)
     with obs.tracing(trace):
         with obs.span("api/run", flow=flow_name) as run_span:
             if isinstance(design, str):
@@ -443,8 +395,6 @@ def _verify_run(design, config: RunConfig, flow_result, route_report, level: str
         grid=getattr(route_report, "grid", None),
         demand=getattr(route_report, "demand", None),
         route_report=route_report,
-        slot_grid=getattr(flow_result, "slot_grid", None),
-        slot_assignment=getattr(flow_result, "slot_assignment", None),
     )
     return run_checkers(ctx, level=level)
 
@@ -846,7 +796,6 @@ __all__ = [
     "ExploreConfig",
     "FLOWS",
     "FLOW_ALIASES",
-    "MODES",
     "PRIOR_MODES",
     "RouteResult",
     "RunConfig",
@@ -855,7 +804,6 @@ __all__ = [
     "UnknownFlowError",
     "explore",
     "flow_puffer",
-    "flow_slots",
     "resolve_design",
     "resolve_flow",
     "route",

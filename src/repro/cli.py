@@ -6,8 +6,8 @@ Commands:
 * ``ingest``    — load a Yosys ``write_json`` netlist, report its
   structure, and optionally save it (Bookshelf).
 * ``place``     — place a design (puffer / wirelength / replace /
-  commercial flows) and save the result; ``--mode slots`` runs the
-  fixed-slot assignment pipeline instead of continuous placement.
+  commercial flows), optionally route it, and save the result; the
+  design is a suite benchmark name or a Yosys ``*_mapped.json`` netlist.
 * ``route``     — route a placed design and report HOF/VOF/WL.
 * ``explore``   — run the strategy exploration on a small design.
 * ``suite``     — the Table-II comparison across the benchmark suite.
@@ -46,7 +46,6 @@ from . import api, kernels
 from .benchgen import make_design, suite_names
 from .netlist import load_design, save_design
 from .placer import PlacementParams
-from .slots import SlotParams
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,14 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     place.add_argument("--scale", type=float, default=0.004)
     place.add_argument("--flow", choices=list(api.FLOWS), default="puffer")
-    place.add_argument("--mode", choices=list(api.MODES), default="standard",
-                       help="'slots' assigns cells to a fixed slot grid "
-                       "instead of placing continuously")
     place.add_argument("--seed", type=int, default=0)
     place.add_argument("--max-iters", type=int, default=900)
-    place.add_argument("--sa-iters", type=int, default=None,
-                       help="slots mode: SA refinement iterations "
-                       "(default scales with the design)")
     place.add_argument("--out", help="directory to save the placed design")
     place.add_argument("--route", action="store_true", help="evaluate with the router")
     _add_runtime_args(place, jobs=False, verify=True)
@@ -171,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(the path must be readable by the server)",
     )
     submit.add_argument("--flow", choices=list(api.FLOWS), default="puffer")
-    submit.add_argument("--mode", choices=list(api.MODES), default="standard",
-                        help="'slots' runs fixed-slot assignment")
     submit.add_argument("--scale", type=float, default=0.004)
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--max-iters", type=int, default=900)
@@ -387,12 +378,6 @@ def cmd_place(args) -> int:
         scale=args.scale,
         seed=args.seed,
         placement=PlacementParams(max_iters=args.max_iters),
-        mode=args.mode,
-        slots=(
-            SlotParams(sa_iters=args.sa_iters)
-            if args.mode == "slots" and args.sa_iters is not None
-            else None
-        ),
         verify=args.verify,
     )
     result = api.run(
@@ -706,7 +691,6 @@ def cmd_submit(client, args) -> int:
         scale=args.scale,
         seed=args.seed,
         placement=PlacementParams(max_iters=args.max_iters),
-        mode=args.mode,
     )
     try:
         job = client.submit(

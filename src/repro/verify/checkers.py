@@ -49,9 +49,6 @@ class VerifyContext:
         grid: routing grid of the evaluation router.
         demand: per-direction demand maps on ``grid``.
         route_report: the router's :class:`~repro.router.RouteReport`.
-        slot_grid: the :class:`repro.slots.SlotGrid` of a fixed-slot
-            run (unlocks the slot-assignment checker).
-        slot_assignment: per-cell slot ids (``-1`` = not slotted).
     """
 
     design: Design
@@ -62,8 +59,6 @@ class VerifyContext:
     grid: object | None = None
     demand: object | None = None
     route_report: object | None = None
-    slot_grid: object | None = None
-    slot_assignment: np.ndarray | None = None
 
 
 def _std_bounds(design: Design):
@@ -431,124 +426,6 @@ def check_routing(ctx: VerifyContext) -> list:
     return out
 
 
-def check_slot_assignment(ctx: VerifyContext) -> list:
-    """Fixed-slot invariants: total, injective, fitting, in-die, in-sync.
-
-    Requires ``ctx.slot_grid`` and ``ctx.slot_assignment``.  Every
-    movable standard cell must hold exactly one slot (injectively), the
-    slot must be at least as wide as the cell and lie inside the die,
-    and the cell's position must be its slot's left-aligned position.
-    """
-    if ctx.slot_grid is None or ctx.slot_assignment is None:
-        return []
-    design, tol = ctx.design, ctx.tolerance
-    grid = ctx.slot_grid
-    assignment = np.asarray(ctx.slot_assignment)
-    out: list = []
-    movable = design.movable & ~design.is_macro
-    cells = np.flatnonzero(movable)
-
-    unassigned = cells[assignment[cells] < 0]
-    if len(unassigned):
-        out.append(
-            Violation(
-                checker="slots/assignment",
-                severity="error",
-                message=f"{len(unassigned)} movable cells without a slot",
-                cells=_ids(unassigned),
-            )
-        )
-    stray = np.flatnonzero(~movable & (assignment >= 0))
-    if len(stray):
-        out.append(
-            Violation(
-                checker="slots/assignment",
-                severity="error",
-                message=f"{len(stray)} fixed cells / macros hold slots",
-                cells=_ids(stray),
-            )
-        )
-
-    holders = cells[assignment[cells] >= 0]
-    slots = assignment[holders]
-    bad_ids = holders[(slots < 0) | (slots >= grid.num_slots)]
-    if len(bad_ids):
-        out.append(
-            Violation(
-                checker="slots/assignment",
-                severity="error",
-                message=f"{len(bad_ids)} cells reference slots outside the grid",
-                cells=_ids(bad_ids),
-            )
-        )
-        return out  # everything below indexes through the slot arrays
-
-    if len(slots):
-        counts = np.bincount(slots, minlength=grid.num_slots)
-        shared = np.flatnonzero(counts > 1)
-        if len(shared):
-            offenders = holders[np.isin(slots, shared)]
-            out.append(
-                Violation(
-                    checker="slots/assignment",
-                    severity="error",
-                    message=f"{len(shared)} slots hold more than one cell",
-                    cells=_ids(offenders),
-                    measured=float(counts.max()),
-                    allowed=1.0,
-                )
-            )
-
-        unfit = design.w[holders] > grid.w[slots] + tol
-        if unfit.any():
-            out.append(
-                Violation(
-                    checker="slots/assignment",
-                    severity="error",
-                    message=f"{int(unfit.sum())} cells wider than their slot",
-                    cells=_ids(holders[unfit]),
-                    measured=float((design.w[holders] - grid.w[slots])[unfit].max()),
-                    allowed=tol,
-                )
-            )
-
-        die = design.die
-        s_out = (
-            (grid.x[slots] < die.xlo - tol)
-            | (grid.y[slots] < die.ylo - tol)
-            | (grid.x[slots] + grid.w[slots] > die.xhi + tol)
-            | (grid.y[slots] + grid.row_height > die.yhi + tol)
-        )
-        if s_out.any():
-            out.append(
-                Violation(
-                    checker="slots/assignment",
-                    severity="error",
-                    message=f"{int(s_out.sum())} occupied slots extend outside the die",
-                    cells=_ids(holders[s_out]),
-                )
-            )
-
-        want_x = grid.x[slots] + design.w[holders] / 2
-        want_y = grid.y[slots] + design.h[holders] / 2
-        drift = np.maximum(
-            np.abs(design.x[holders] - want_x), np.abs(design.y[holders] - want_y)
-        )
-        adrift = drift > tol
-        if adrift.any():
-            out.append(
-                Violation(
-                    checker="slots/assignment",
-                    severity="error",
-                    message=f"{int(adrift.sum())} cells not at their slot position",
-                    cells=_ids(holders[adrift]),
-                    measured=float(drift.max()),
-                    allowed=tol,
-                )
-            )
-    return out
-
-
 #: Ordered checker registry: name -> (checker, cheapest level that runs it).
 CHECKERS = {
     "placement/containment": (check_die_containment, "cheap"),
@@ -556,7 +433,6 @@ CHECKERS = {
     "placement/site_alignment": (check_site_alignment, "cheap"),
     "placement/overlap": (check_overlaps, "cheap"),
     "padding/accounting": (check_padding, "cheap"),
-    "slots/assignment": (check_slot_assignment, "cheap"),
     "netlist/integrity": (check_netlist, "full"),
     "routing/accounting": (check_routing, "full"),
 }
@@ -615,6 +491,4 @@ def _checker_skipped(name: str, ctx: VerifyContext) -> bool:
         return ctx.padded_widths is None
     if name == "routing/accounting":
         return ctx.grid is None or ctx.demand is None
-    if name == "slots/assignment":
-        return ctx.slot_grid is None or ctx.slot_assignment is None
     return False

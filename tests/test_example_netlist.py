@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, kernels
 from repro.cli import main
 from repro.netlist import load_yosys
-from repro.slots import SlotParams
 
 REPO = Path(__file__).resolve().parents[1]
 EXAMPLE = REPO / "examples" / "mos6502_mapped.json"
@@ -46,40 +45,45 @@ def test_ingest_structure():
     assert any(name.startswith("IR") for name in design.net_names)
 
 
-def test_place_slots_cli_verify_full(capsys):
+def test_place_puffer_cli_route_verify_full(capsys):
     code = main(
-        [
-            "place",
-            str(EXAMPLE),
-            "--mode",
-            "slots",
-            "--sa-iters",
-            "2000",
-            "--verify",
-            "full",
-        ]
+        ["place", str(EXAMPLE), "--flow", "puffer", "--route", "--verify", "full"]
     )
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "slots:" in out
+    assert "puffer:" in out
     assert "legal=True" in out
     assert "0 errors" in out
 
 
-def test_api_slots_run_deterministic():
-    config = api.RunConfig(mode="slots", slots=SlotParams(sa_iters=1000))
-    r1 = api.run(str(EXAMPLE), config=config)
-    r2 = api.run(str(EXAMPLE), config=config)
-    np.testing.assert_array_equal(
-        r1.flow_result.slot_assignment, r2.flow_result.slot_assignment
-    )
-    assert r1.hpwl == r2.hpwl
-    assert r1.flow == "slots"
-    summary = r1.to_summary()
-    assert summary["slots"]["hpwl_final"] == pytest.approx(r1.hpwl)
+@pytest.fixture(scope="module")
+def puffer_runs():
+    """The routed, fully verified PUFFER run under each kernel backend."""
+    runs = {}
+    for backend in ("vectorized", "reference"):
+        with kernels.using(backend):
+            runs[backend] = api.run(
+                str(EXAMPLE),
+                "puffer",
+                api.RunConfig(verify="full"),
+                route=True,
+                verify_legal=True,
+            )
+    return runs
 
 
-def test_api_standard_mode_ignores_slots_flow():
-    config = api.RunConfig(mode="standard")
-    with pytest.raises(api.UnknownFlowError):
-        api.run("OR1200", flow="slots-is-not-a-flow", config=config)
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+def test_api_puffer_run_verified(puffer_runs, backend):
+    result = puffer_runs[backend]
+    assert result.flow == "puffer"
+    assert result.verify_report.ok, result.verify_report.errors
+    assert result.route_report is not None
+    assert result.legality.ok
+    assert result.to_summary()["route"]["wirelength"] > 0
+
+
+def test_api_puffer_run_bit_identical_across_backends(puffer_runs):
+    vec, ref = puffer_runs["vectorized"], puffer_runs["reference"]
+    assert np.array_equal(vec.design.x, ref.design.x)
+    assert np.array_equal(vec.design.y, ref.design.y)
+    assert vec.hpwl == ref.hpwl

@@ -420,9 +420,15 @@ class TestBoundaryValidation:
         with pytest.raises(SchemaError, match="PlacementParams"):
             api.RunConfig.from_dict(wire)
 
-    def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(SchemaError, match="sale"):
-            api.RunConfig.from_dict({"sale": 0.004})
+    @pytest.mark.parametrize(
+        "wire",
+        [{"sale": 0.004}, {"mode": "slots"}, {"slots": {}}],
+        ids=["sale", "mode", "slots"],
+    )
+    def test_unknown_top_level_key_rejected(self, wire):
+        (key,) = wire
+        with pytest.raises(SchemaError, match=key):
+            api.RunConfig.from_dict(wire)
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(SchemaError, match="max_itters"):

@@ -351,9 +351,8 @@ class TestApiWiring:
         )
         report = result.verify_report
         assert report is not None and report.ok
-        # Flow exposes padding and the run routed: everything ran except
-        # the slot checker, which only applies to mode="slots" runs.
-        assert set(report.checkers_run) == set(CHECKERS) - {"slots/assignment"}
+        # Flow exposes padding and the run routed: every checker ran.
+        assert set(report.checkers_run) == set(CHECKERS)
 
     def test_run_verify_off_by_default(self, small_design):
         from repro.placer import PlacementParams
