@@ -216,14 +216,28 @@ def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
     """Batched wavefront search with the reference cost semantics.
 
     ``gH[x, y]`` / ``gV[x, y]`` hold the cheapest cost of reaching the
-    cell with a last move in that direction.  Each sweep first forms the
-    pre-move potential ``a = min(g_same, g_other + turn_charge)``, then
-    relaxes entire straight runs with prefix/suffix min-scans along each
-    axis (the batched neighbor expansion), so convergence takes on the
-    order of the optimal path's turn count.  The path is recovered by
-    walking cost-consistent predecessors; charged cells match the
-    reference accounting (entered cell in the move direction, corner
-    cell on turns and at the start).
+    cell with a last move in that direction.  Each sweep forms the
+    pre-move potential ``a = min(g_same, g_other + turn_charge)`` of one
+    direction, then relaxes entire straight runs with prefix/suffix
+    min-scans along that axis (the batched neighbor expansion), so
+    convergence takes on the order of the optimal path's turn count.
+    The path is recovered by walking cost-consistent predecessors;
+    charged cells match the reference accounting (entered cell in the
+    move direction, corner cell on turns and at the start).
+
+    Sweeps are Gauss-Seidel: the V half forms ``aV`` from the H labels
+    this sweep just relaxed, not the ones it started from.  The result
+    is the same, bit for bit, as relaxing both halves from the old
+    labels (Jacobi).  Each half-update ``F`` is monotone (built from
+    ``min`` and round-to-nearest add/subtract of fixed costs, all
+    non-decreasing in every label) and deflationary (``F(g) <= g``,
+    since each label is a ``min`` with itself).  From the same start
+    ``g0``, Jacobi descends to the greatest fixed point ``g*`` below
+    ``g0``.  By induction, each Gauss-Seidel iterate lies between
+    ``g*`` (``F`` maps it to itself) and the Jacobi iterate of the same
+    sweep (its V half reads labels no larger), so both reach ``g*``,
+    Gauss-Seidel in no more sweeps; a Gauss-Seidel sweep that changes
+    nothing is also a Jacobi fixed point, so the stopping test holds.
     """
     ny_full = cost_h.shape[1]
     ch = np.ascontiguousarray(cost_h[xlo : xhi + 1, ylo : yhi + 1])
@@ -254,7 +268,6 @@ def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
     for _ in range(2 * w * h + 8):
         sweeps += 1
         aH = np.minimum(gH, gV + ch)
-        aV = np.minimum(gV, gH + cv)
         # Straight H runs: cost k -> x (rightward) is sh[x] - sh[k], so
         # cand[x] = sh[x] + min_{k<x}(aH[k] - sh[k]); leftward uses the
         # exclusive prefix ph symmetrically.  One min-scan per direction.
@@ -263,6 +276,7 @@ def maze_search(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
         np.minimum(newH[1:], run[:-1] + sh[1:], out=newH[1:])
         run = np.minimum.accumulate((aH + ph)[::-1], axis=0)[::-1]
         np.minimum(newH[:-1], run[1:] - ph[:-1], out=newH[:-1])
+        aV = np.minimum(gV, newH + cv)
         newV = gV.copy()
         run = np.minimum.accumulate(aV - sv, axis=1)
         np.minimum(newV[:, 1:], run[:, :-1] + sv[:, 1:], out=newV[:, 1:])

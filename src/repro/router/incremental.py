@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import obs
 from ..netlist.design import Design
-from .maze import maze_route
+from .maze import MazeMemo, maze_route
 from .pattern import best_pattern_route
 from .router import (
     RouteReport,
@@ -156,6 +156,7 @@ def reroute_nets(
         # to overflow this edit introduced (see the baseline above).
         overflow_history = [demand.overflow_ratio(grid)]
         rounds_run = 0
+        memo = MazeMemo()
         for rnd in range(rounds):
             victims = select_victims(routes, grid, demand, window=window,
                                      baseline=overflow_baseline)
@@ -173,7 +174,9 @@ def reroute_nets(
                     routes[i], -1.0, dmd_h, dmd_v, cost_model,
                     cost_h_flat, cost_v_flat,
                 )
-                new_route = maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin)
+                new_route = maze_route(
+                    gx0, gy0, gx1, gy1, cost_h, cost_v, margin, memo=memo
+                )
                 if new_route is None:
                     new_route = routes[i]
                 routes[i] = new_route

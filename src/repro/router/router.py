@@ -3,7 +3,7 @@
 Given a placed design, the router decomposes every net into two-point
 segments via RSMT, pattern-routes them congestion-aware (straight / best
 L), then negotiates residual overflow with history-based rip-up and
-bounded A* maze rerouting.  It reports the same quantities the paper
+bounded maze rerouting.  It reports the same quantities the paper
 reads off the Innovus global router: per-direction overflow ratios
 ("HOF"/"VOF"), routed wirelength, and congestion maps.
 
@@ -25,7 +25,7 @@ from ..netlist.design import Design
 from ..rsmt.batch import gcell_rsmt_batch, net_gcells
 from .cost import CostModel, CostParams
 from .grid import DemandMaps, RoutingGrid, build_grid
-from .maze import maze_route
+from .maze import MazeMemo, maze_route
 from .pattern import best_pattern_route
 
 
@@ -216,20 +216,34 @@ def select_victims(routes, grid: RoutingGrid, demand: DemandMaps, window=None,
         over_v = np.where(mask, over_v, 0.0)
     over_h_flat = over_h.ravel()
     over_v_flat = over_v.ravel()
+    # Overflow is >= 0, so a route scores above zero exactly when it
+    # passes through a hot (positive-overflow) Gcell; only those are
+    # scored, the rest would score 0.0 and be dropped.
     scored = []
-    for i, route in enumerate(routes):
-        if route is None:
-            continue
-        h_cells, v_cells = route
+    for i in _routes_touching(routes, over_h_flat > 0, over_v_flat > 0):
+        h_cells, v_cells = routes[i]
         score = 0.0
         if len(h_cells):
             score += float(over_h_flat[h_cells].sum())
         if len(v_cells):
             score += float(over_v_flat[v_cells].sum())
-        if score > 0:
-            scored.append((score, i))
+        scored.append((score, i))
     scored.sort(reverse=True)
     return [i for _, i in scored]
+
+
+def _routes_touching(routes, hot_h, hot_v) -> list:
+    """Ascending indices of the routes with a cell in ``hot_h`` (H
+    cells) or ``hot_v`` (V cells); ``None`` routes are skipped."""
+    live = [i for i, route in enumerate(routes) if route is not None]
+    if not live or not (hot_h.any() or hot_v.any()):
+        return []
+    touched = []
+    for side, hot in ((0, hot_h), (1, hot_v)):
+        cells = [routes[i][side] for i in live]
+        owner = np.repeat(live, [len(c) for c in cells])
+        touched.append(owner[hot[np.concatenate(cells)]])
+    return np.unique(np.concatenate(touched)).tolist()
 
 
 def wirelength_and_vias(routes, grid: RoutingGrid) -> tuple:
@@ -314,6 +328,7 @@ class GlobalRouter:
 
         overflow_history = [demand.overflow_ratio(grid)]
         rip_ups = obs.counter("route/rip_ups")
+        memo = MazeMemo()
         rounds = 0
         for rnd in range(params.rrr_rounds):
             hof, vof = demand.overflow_ratio(grid)
@@ -334,7 +349,9 @@ class GlobalRouter:
                     commit_route(
                         routes[i], -1.0, dmd_h, dmd_v, cost_model, cost_h_flat, cost_v_flat
                     )
-                    new_route = maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin)
+                    new_route = maze_route(
+                        gx0, gy0, gx1, gy1, cost_h, cost_v, margin, memo=memo
+                    )
                     if new_route is None:
                         new_route = routes[i]
                     routes[i] = new_route

@@ -1,0 +1,88 @@
+"""Loop-level reference code of the router's hot paths.
+
+This is the arithmetic the faster forms in :mod:`repro.kernels.vectorized`
+and :mod:`repro.router.router` must reproduce exactly: the maze wavefront
+with Jacobi sweeps (both halves of a sweep read the labels it started
+from), and victim selection scoring every route in turn.  Tests compare
+against it with ``np.array_equal`` and ``==``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.kernels.vectorized import _backtrack
+
+
+def maze_search_jacobi(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
+    """The vectorized maze search with Jacobi sweeps."""
+    ny_full = cost_h.shape[1]
+    ch = np.ascontiguousarray(cost_h[xlo : xhi + 1, ylo : yhi + 1])
+    cv = np.ascontiguousarray(cost_v[xlo : xhi + 1, ylo : yhi + 1])
+    w, h = ch.shape
+    sx, sy = gx0 - xlo, gy0 - ylo
+    tx, ty = gx1 - xlo, gy1 - ylo
+
+    gH = np.full((w, h), np.inf)
+    gV = np.full((w, h), np.inf)
+    if sx + 1 < w:
+        gH[sx + 1, sy] = ch[sx + 1, sy] + ch[sx, sy]
+    if sx >= 1:
+        gH[sx - 1, sy] = ch[sx - 1, sy] + ch[sx, sy]
+    if sy + 1 < h:
+        gV[sx, sy + 1] = cv[sx, sy + 1] + cv[sx, sy]
+    if sy >= 1:
+        gV[sx, sy - 1] = cv[sx, sy - 1] + cv[sx, sy]
+
+    sh = np.cumsum(ch, axis=0)
+    sv = np.cumsum(cv, axis=1)
+    ph = sh - ch
+    pv = sv - cv
+
+    for _ in range(2 * w * h + 8):
+        aH = np.minimum(gH, gV + ch)
+        aV = np.minimum(gV, gH + cv)
+        newH = gH.copy()
+        run = np.minimum.accumulate(aH - sh, axis=0)
+        np.minimum(newH[1:], run[:-1] + sh[1:], out=newH[1:])
+        run = np.minimum.accumulate((aH + ph)[::-1], axis=0)[::-1]
+        np.minimum(newH[:-1], run[1:] - ph[:-1], out=newH[:-1])
+        newV = gV.copy()
+        run = np.minimum.accumulate(aV - sv, axis=1)
+        np.minimum(newV[:, 1:], run[:, :-1] + sv[:, 1:], out=newV[:, 1:])
+        run = np.minimum.accumulate((aV + pv)[:, ::-1], axis=1)[:, ::-1]
+        np.minimum(newV[:, :-1], run[:, 1:] - pv[:, :-1], out=newV[:, :-1])
+        if np.array_equal(newH, gH) and np.array_equal(newV, gV):
+            return _backtrack(gH, gV, ch, cv, sx, sy, tx, ty, xlo, ylo, ny_full)
+        gH, gV = newH, newV
+    return None
+
+
+def select_victims_loop(routes, grid, demand, window=None, baseline=None) -> list:
+    """:func:`repro.router.router.select_victims` scoring every route."""
+    over_h, over_v = demand.overflow_maps(grid)
+    if baseline is not None:
+        over_h = np.maximum(over_h - np.clip(baseline[0], 0.0, None), 0.0)
+        over_v = np.maximum(over_v - np.clip(baseline[1], 0.0, None), 0.0)
+    if window is not None:
+        gx_lo, gy_lo, gx_hi, gy_hi = window
+        mask = np.zeros((grid.nx, grid.ny), dtype=bool)
+        mask[max(gx_lo, 0): gx_hi + 1, max(gy_lo, 0): gy_hi + 1] = True
+        over_h = np.where(mask, over_h, 0.0)
+        over_v = np.where(mask, over_v, 0.0)
+    over_h_flat = over_h.ravel()
+    over_v_flat = over_v.ravel()
+    scored = []
+    for i, route in enumerate(routes):
+        if route is None:
+            continue
+        h_cells, v_cells = route
+        score = 0.0
+        if len(h_cells):
+            score += float(over_h_flat[h_cells].sum())
+        if len(v_cells):
+            score += float(over_v_flat[v_cells].sum())
+        if score > 0:
+            scored.append((score, i))
+    scored.sort(reverse=True)
+    return [i for _, i in scored]

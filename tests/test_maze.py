@@ -1,8 +1,13 @@
-"""Tests for the bounded A* maze router."""
+"""Tests for the bounded maze router."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.kernels import vectorized
 from repro.router import maze_route
+
+from .router_oracle import maze_search_jacobi
 
 
 def uniform(n=12):
@@ -64,3 +69,44 @@ class TestMaze:
         ch, cv = uniform()
         h, v = maze_route(0, 0, 5, 0, ch, cv, margin=1)
         assert len(h) == 6  # 6 cells passed horizontally
+
+
+class TestGaussSeidelSweeps:
+    """Gauss-Seidel sweeps reach the Jacobi fixed point, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        costs=st.sampled_from(["float", "integer", "uniform", "walls"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_routes_equal_jacobi(self, seed, costs):
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(2, 15, size=2)
+        if costs == "float":
+            ch = 1.0 + 5.0 * rng.random((nx, ny))
+            cv = 1.0 + 5.0 * rng.random((nx, ny))
+        elif costs == "integer":  # tie-heavy
+            ch = rng.integers(1, 4, (nx, ny)).astype(float)
+            cv = rng.integers(1, 4, (nx, ny)).astype(float)
+        elif costs == "uniform":
+            ch = np.ones((nx, ny))
+            cv = np.ones((nx, ny))
+        else:
+            ch = np.where(rng.random((nx, ny)) < 0.3, 1000.0, 1.0)
+            cv = np.where(rng.random((nx, ny)) < 0.3, 1000.0, 1.0)
+        gx0, gx1 = rng.integers(0, nx, size=2)
+        gy0, gy1 = rng.integers(0, ny, size=2)
+        if gx0 == gx1 and gy0 == gy1:
+            return
+        margin = int(rng.integers(0, 4))
+        xlo = max(min(gx0, gx1) - margin, 0)
+        xhi = min(max(gx0, gx1) + margin, nx - 1)
+        ylo = max(min(gy0, gy1) - margin, 0)
+        yhi = min(max(gy0, gy1) + margin, ny - 1)
+        args = (gx0, gy0, gx1, gy1, ch, cv, xlo, xhi, ylo, yhi)
+        got = vectorized.maze_search(*args)
+        want = maze_search_jacobi(*args)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])

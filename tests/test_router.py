@@ -1,9 +1,15 @@
 """Integration tests for the global router."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.placer import GlobalPlacer, PlacementParams
-from repro.router import GlobalRouter, RouterParams
+from repro.router import DemandMaps, GlobalRouter, RouterParams, RoutingGrid
+from repro.router.router import select_victims
+
+from .router_oracle import select_victims_loop
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +89,41 @@ class TestGlobalRouter:
         _, report = routed
         text = report.summary()
         assert "HOF" in text and "VOF" in text and "WL" in text
+
+
+class TestSelectVictims:
+    """Scoring only routes through hot Gcells keeps the scored loop's
+    victim list and order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans(),
+           windowed=st.booleans(), baselined=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scoring_every_route(self, seed, ties, windowed, baselined):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(n) for n in rng.integers(1, 10, size=2))
+        cap_h = rng.integers(0, 4, (nx, ny)).astype(float)
+        cap_v = rng.integers(0, 4, (nx, ny)).astype(float)
+        grid = RoutingGrid(nx, ny, 1.0, 1.0, 0.0, 0.0, cap_h, cap_v)
+        if ties:  # integer demand: many equal scores and exact zeros
+            dmd = [rng.integers(0, 6, (nx, ny)).astype(float) for _ in "hv"]
+        else:
+            dmd = [4.0 * rng.random((nx, ny)) for _ in "hv"]
+        demand = DemandMaps(*dmd)
+        routes = []
+        for _ in range(int(rng.integers(0, 40))):
+            if rng.random() < 0.1:
+                routes.append(None)
+                continue
+            routes.append(tuple(
+                np.unique(rng.integers(0, nx * ny, int(rng.integers(0, 6))))
+                for _ in "hv"
+            ))
+        window = None
+        if windowed:
+            window = tuple(int(v) for v in rng.integers(-1, 10, size=4))
+        baseline = None
+        if baselined:
+            baseline = (rng.random((nx, ny)) - 0.3, rng.random((nx, ny)) - 0.3)
+        got = select_victims(routes, grid, demand, window, baseline)
+        want = select_victims_loop(routes, grid, demand, window, baseline)
+        assert got == want
