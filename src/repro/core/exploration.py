@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
+from ..placer import prefix
 from ..runtime import MISSING, stable_hash
 from ..tpe import Choice, Space, TPESampler, minimize
 from .strategy import PARAM_GROUPS, StrategyParams, default_space
@@ -104,7 +105,10 @@ class PlacementObjective:
 
         strategy = StrategyParams.from_dict(params)
         design = self.design_factory()
-        PufferPlacer(design, strategy=strategy, placement=self.placement).run()
+        # Trials differ only in the strategy, so they share the global
+        # placement up to the first padding round (repro.placer.prefix).
+        with prefix.reuse():
+            PufferPlacer(design, strategy=strategy, placement=self.placement).run()
         report = GlobalRouter(design, self.router_params).run()
         return (report.total_overflow, report.wirelength)
 

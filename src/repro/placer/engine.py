@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import obs
 from ..netlist.design import Design
+from . import prefix
 from .density import ElectrostaticDensity
 from .initial import clamp_to_die, initial_place
 from .nesterov import NesterovOptimizer
@@ -85,7 +86,10 @@ class GlobalPlacer:
         params: engine parameters.
         hooks: callables ``hook(state) -> bool``; a ``True`` return means
             the hook changed the objective (e.g. applied padding) and the
-            optimizer momentum must be reset.
+            optimizer momentum must be reset.  A hook returning ``False``
+            must change nothing the placer reads, so the iterations
+            before the first ``True`` depend on the design and
+            ``params`` alone (:mod:`repro.placer.prefix` replays them).
         seed_positions: when ``True``, run the star-model initial
             placement first; otherwise start from the current positions.
     """
@@ -117,6 +121,7 @@ class GlobalPlacer:
         self.hpwl = 0.0
         self.penalty_factor = 0.0
         self.gamma = 1.0
+        self.reused_iterations = 0
         self._objective_changed = False
 
     # ------------------------------------------------------------------
@@ -167,11 +172,13 @@ class GlobalPlacer:
                 hpwl=result.hpwl,
                 overflow=result.overflow,
                 converged=result.converged,
+                reused_iterations=self.reused_iterations,
             )
         return result
 
-    def _run(self) -> GlobalPlaceResult:
-        start = time.perf_counter()
+    def _start(self) -> tuple:
+        """Seed positions and evaluate the start point; returns the
+        optimizer and the reference HPWL change of the penalty schedule."""
         params = self.params
         design = self.design
         if self._seed_positions:
@@ -184,9 +191,9 @@ class GlobalPlacer:
                     initial_place(design, params)
         clamp_to_die(design)
 
-        base_gamma = params.gamma_scale * max(self.density.bin_w, self.density.bin_h)
         self.overflow = self.density.overflow(design.x, design.y)
-        self.gamma = gamma_schedule(base_gamma, self.overflow)
+        self.gamma = gamma_schedule(self._base_gamma, self.overflow)
+        self.hpwl = self.wirelength.hpwl(design.x, design.y)
         z = self._project(np.concatenate((design.x[self._mov], design.y[self._mov])))
         # One evaluation at the start point sets the penalty factor (WA
         # and density gradient norms balanced) and seeds the optimizer.
@@ -200,9 +207,51 @@ class GlobalPlacer:
         optimizer = NesterovOptimizer(
             self._gradient, self._project, z, initial_step, g0=g0
         )
+        hpwl_ref = max(params.delta_hpwl_ref_frac * max(self.hpwl, 1.0), 1e-9)
+        return optimizer, hpwl_ref
 
-        hpwl_prev = self.wirelength.hpwl(design.x, design.y)
-        hpwl_ref = max(params.delta_hpwl_ref_frac * max(hpwl_prev, 1.0), 1e-9)
+    def _replay(self, optimizer, step, tail) -> None:
+        """Restore the state a recorded step left; ``tail`` (the
+        trajectory, on its last step) supplies the optimizer's ``v``."""
+        v, g_v = (tail.v, tail.g_v) if tail is not None else (step.u, None)
+        optimizer.restore(step.u, v, g_v, step.a, step.alpha, step.grad_evals)
+        self.design.x[self._mov], self.design.y[self._mov] = np.split(step.u, 2)
+        self.overflow, self.hpwl = step.overflow, step.hpwl
+        self.penalty_factor, self.gamma = step.penalty_factor, step.gamma
+
+    def _run(self) -> GlobalPlaceResult:
+        start = time.perf_counter()
+        params = self.params
+        design = self.design
+        self._base_gamma = params.gamma_scale * max(self.density.bin_w, self.density.bin_h)
+        # With a prefix store active, the steps up to the first hook
+        # firing are recorded on a miss and replayed on a hit (see
+        # repro.placer.prefix).  Sizes installed before run() are not in
+        # the key, so such a placement bypasses the store.
+        store = None if self._objective_changed else prefix.active()
+        key = stored = None
+        if store is not None:
+            key = prefix.key(design, params, self._seed_positions)
+            stored = store.get(key)
+        if stored is None:
+            optimizer, hpwl_ref = self._start()
+            replay = ()
+        else:
+            first = stored.steps[0]
+            optimizer = NesterovOptimizer(self._gradient, self._project, first.u, first.alpha)
+            hpwl_ref = stored.hpwl_ref
+            replay = stored.steps
+        known = len(replay)
+        recorded = list(replay) if store is not None else None
+
+        def publish() -> None:
+            # Only a record that ran past the stored one is news.
+            if recorded is not None and len(recorded) > known:
+                store.put(key, prefix.Trajectory(
+                    hpwl_ref, tuple(recorded), optimizer.v, optimizer.g_v
+                ))
+
+        hpwl_prev = self.hpwl
         history = []
         converged = False
         state = PlacerState(self)
@@ -212,18 +261,27 @@ class GlobalPlacer:
         for k in range(params.max_iters):
             self.iteration = k
             with obs.span("gp/iteration", i=k) as it_span:
-                z = optimizer.step()
-                design.x[self._mov], design.y[self._mov] = np.split(z, 2)
-                self.overflow = self._eval_overflow
-                self.hpwl = self.wirelength.hpwl(design.x, design.y)
+                if k < len(replay):
+                    self._replay(optimizer, replay[k], stored if k == known - 1 else None)
+                else:
+                    z = optimizer.step()
+                    design.x[self._mov], design.y[self._mov] = np.split(z, 2)
+                    self.overflow = self._eval_overflow
+                    self.hpwl = self.wirelength.hpwl(design.x, design.y)
 
-                # Penalty-factor schedule (ePlace): reward HPWL reduction.
-                delta = self.hpwl - hpwl_prev
-                mu = params.lambda_mu_max ** (1.0 - delta / hpwl_ref)
-                mu = float(min(max(mu, params.lambda_mu_min), params.lambda_mu_max))
-                self.penalty_factor *= mu
+                    # Penalty-factor schedule (ePlace): reward HPWL reduction.
+                    delta = self.hpwl - hpwl_prev
+                    mu = params.lambda_mu_max ** (1.0 - delta / hpwl_ref)
+                    mu = float(min(max(mu, params.lambda_mu_min), params.lambda_mu_max))
+                    self.penalty_factor *= mu
+                    self.gamma = gamma_schedule(self._base_gamma, self.overflow)
+                    if recorded is not None:
+                        recorded.append(prefix.Step(
+                            z, self.overflow, self.hpwl, self.penalty_factor,
+                            self.gamma, optimizer.alpha, optimizer.a,
+                            optimizer.grad_evals,
+                        ))
                 hpwl_prev = self.hpwl
-                self.gamma = gamma_schedule(base_gamma, self.overflow)
 
                 history.append(
                     IterationRecord(k, self.hpwl, self.overflow, self.penalty_factor, self.gamma)
@@ -241,6 +299,10 @@ class GlobalPlacer:
                     if hook(state):
                         self._objective_changed = True
                 if self._objective_changed:
+                    # The prefix ends here: stop replaying and recording.
+                    replay = replay[: k + 1]
+                    publish()
+                    recorded = None
                     optimizer.reset_momentum()
                 it_span.set(hpwl=self.hpwl, overflow=self.overflow)
 
@@ -248,10 +310,14 @@ class GlobalPlacer:
                 converged = True
                 break
 
+        publish()
+        self.reused_iterations = min(len(replay), len(history))
+        if self.reused_iterations:
+            obs.counter("gp/prefix_iterations").inc(self.reused_iterations)
         return GlobalPlaceResult(
             hpwl=self.hpwl,
             overflow=self.overflow,
-            iterations=self.iteration + 1,
+            iterations=len(history),
             runtime=time.perf_counter() - start,
             grad_evals=optimizer.grad_evals,
             converged=converged,

@@ -55,6 +55,27 @@ class NesterovOptimizer:
         self._tol = shrink_tolerance
         self.grad_evals = 0
 
+    @property
+    def a(self) -> float:
+        """Nesterov momentum coefficient ``a_k``."""
+        return self._a
+
+    @property
+    def alpha(self) -> float:
+        """Steplength the next step starts from."""
+        return self._alpha
+
+    @property
+    def g_v(self) -> "np.ndarray | None":
+        """Gradient at :attr:`v`, or ``None`` until the next step needs it."""
+        return self._g_v
+
+    def restore(self, u, v, g_v, a: float, alpha: float, grad_evals: int) -> None:
+        """Resume from the state a recorded :meth:`step` left behind
+        (``g_v=None``: the next step evaluates the gradient at ``v``)."""
+        self.u, self.v, self._g_v = u, v, g_v
+        self._a, self._alpha, self.grad_evals = a, alpha, grad_evals
+
     def reset_momentum(self) -> None:
         """Forget acceleration history after an objective change."""
         self._a = 1.0

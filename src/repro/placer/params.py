@@ -14,7 +14,8 @@ class PlacementParams:
     Attributes:
         target_density: bin-utilization target for the density penalty.
         grid_dim: density grid dimension ``M`` (``None`` picks a power of
-            two from the cell count, clamped to [32, 256]).
+            two from the movable-cell count, clamped to [16, 256]; see
+            :func:`repro.placer.density.auto_grid_dim`).
         target_overflow: density-overflow value at which global placement
             stops (paper engines typically use 0.07-0.10).
         max_iters: Nesterov iteration cap.

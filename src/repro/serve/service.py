@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import obs
+from ..placer import prefix
 from ..runtime import ArtifactCache, Task, TaskExecutor, TaskTimeoutError, stable_hash
 from ..runtime import shm as shm_runtime
 from ..runtime.cache import MISSING
@@ -177,12 +178,15 @@ def execute_request(request: dict) -> dict:
         except shm_runtime.SharedMemoryError:
             design = request["design"]
     config = api.RunConfig.from_dict(request.get("config") or {})
-    result = api.run(
-        design,
-        flow=request.get("flow", "puffer"),
-        config=config,
-        route=bool(request.get("route", False)),
-    )
+    # Jobs repeat designs with other strategies: replay the shared
+    # global-placement prefix (exact; see repro.placer.prefix).
+    with prefix.reuse():
+        result = api.run(
+            design,
+            flow=request.get("flow", "puffer"),
+            config=config,
+            route=bool(request.get("route", False)),
+        )
     return result.to_summary()
 
 
