@@ -32,7 +32,6 @@ from .. import obs
 from ..api import RunConfig
 from ..core import PufferPlacer, StrategyParams
 from ..core.optimizer import RoutabilityOptimizer
-from ..dplace.incremental import IncrementalHpwl
 from ..legalizer import legalize_abacus, legalize_region, padded_widths
 from ..legalizer.abacus import LegalizeResult
 from ..netlist import add_cell as netlist_add_cell
@@ -51,7 +50,7 @@ from .deltas import (
     RemoveCell,
     ResizeCell,
 )
-from .dirty import DirtySet, compute_dirty, nets_of_cells
+from .dirty import compute_dirty, nets_of_cells
 
 
 @dataclass
@@ -195,7 +194,6 @@ class EcoSession:
         self.legal_widths: np.ndarray | None = None
         self.padding_rounds = 0
         self.route_report: RouteReport | None = None
-        self.hpwl_tracker: IncrementalHpwl | None = None
         self.version = -1
         self.history: list = []
         self.closed = False
@@ -212,7 +210,6 @@ class EcoSession:
         """Release the retained state (the session becomes unusable)."""
         self.closed = True
         self.route_report = None
-        self.hpwl_tracker = None
 
     def _check_open(self) -> None:
         if self.closed:
@@ -263,7 +260,6 @@ class EcoSession:
                 self.design, self.config.router, keep_state=True
             ).run()
             seconds["route"] = time.perf_counter() - t0
-            self.hpwl_tracker = IncrementalHpwl(self.design)
             self.version = 0
             span.set(restored=restored, hpwl=self.design.hpwl())
         result = self._result(
@@ -416,7 +412,6 @@ class EcoSession:
         """Install a rebuilt design (topology edit) and remap state."""
         self.design = new_design
         self.pad = pad
-        self.hpwl_tracker = None  # rebuilt after the repair
 
     def _local_repair(self, seed_cells, boxes, seconds, extra_nets=None) -> tuple:
         """Dirty-region legalization + windowed reroute (the fast path)."""
@@ -466,17 +461,7 @@ class EcoSession:
             max_reroute=self.eco.max_reroute,
         )
         seconds["route"] = time.perf_counter() - t0
-        self._refresh_tracker(dirty)
         return dirty, fallbacks
-
-    def _refresh_tracker(self, dirty: DirtySet | None) -> None:
-        if self.hpwl_tracker is None or self.hpwl_tracker.design is not self.design:
-            self.hpwl_tracker = IncrementalHpwl(self.design)
-        elif dirty is not None and len(dirty.cells):
-            d = self.design
-            self.hpwl_tracker.commit(
-                {int(c): (float(d.x[c]), float(d.y[c])) for c in dirty.cells}
-            )
 
     # -- strategy edits -------------------------------------------------
 
@@ -530,7 +515,6 @@ class EcoSession:
                 d, self.config.router, keep_state=True
             ).run()
             seconds["route"] = time.perf_counter() - t0
-            self.hpwl_tracker = IncrementalHpwl(d)
             span.set(iterations=gp.iterations, hpwl=d.hpwl())
         return []
 

@@ -40,27 +40,35 @@ def build_segments(design: Design) -> list:
     """All free row segments of ``design``, ordered by (row, xlo).
 
     Fixed objects are subtracted from every row they overlap; intervals
-    narrower than one site are dropped.
+    narrower than one site are dropped.  The fixed cells' die-clipped
+    extents come from array ops (the ``max``/``min`` and drop rule of
+    :meth:`~repro.netlist.geometry.Rect.intersection`), and each row
+    subtracts only the blockers overlapping it, in cell-index order:
+    the same :func:`_subtract` sequence as testing every blocker against
+    every row, at a cost that follows the blockers rather than blockers
+    times rows (an ECO region legalization makes every clean cell one).
     """
     tech = design.technology
     die = design.die
     site = tech.site_width
     row_ys = design.row_ys()
-    blockers = []
-    for cell in np.flatnonzero(~design.movable):
-        rect = design.cell_rect(int(cell))
-        clipped = rect.intersection(die)
-        if clipped is not None:
-            blockers.append(clipped)
+    fixed = np.flatnonzero(~design.movable)
+    hw = design.w[fixed] / 2.0
+    hh = design.h[fixed] / 2.0
+    bxlo = np.maximum(design.x[fixed] - hw, die.xlo)
+    bylo = np.maximum(design.y[fixed] - hh, die.ylo)
+    bxhi = np.minimum(design.x[fixed] + hw, die.xhi)
+    byhi = np.minimum(design.y[fixed] + hh, die.yhi)
+    clipped = ~((bxhi <= bxlo) | (byhi <= bylo))
+    bylo, byhi = bylo[clipped], byhi[clipped]
+    bxlo_list, bxhi_list = bxlo[clipped].tolist(), bxhi[clipped].tolist()
 
     segments = []
     for row, y in enumerate(row_ys):
         y_top = y + tech.row_height
         intervals = [(die.xlo, die.xhi)]
-        for rect in blockers:
-            if rect.ylo >= y_top or rect.yhi <= y:
-                continue
-            intervals = _subtract(intervals, rect.xlo, rect.xhi)
+        for b in np.flatnonzero(~((bylo >= y_top) | (byhi <= y))).tolist():
+            intervals = _subtract(intervals, bxlo_list[b], bxhi_list[b])
         for xlo, xhi in intervals:
             xlo_snap = die.xlo + math.ceil((xlo - die.xlo) / site - 1e-9) * site
             xhi_snap = die.xlo + math.floor((xhi - die.xlo) / site + 1e-9) * site

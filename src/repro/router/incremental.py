@@ -25,8 +25,10 @@ from .router import (
     build_net_segments,
     commit_route,
     pin_flat_indices,
+    rip_routes,
+    route_length_and_vias,
     select_victims,
-    wirelength_and_vias,
+    sum_route_terms,
 )
 
 
@@ -77,10 +79,11 @@ def reroute_nets(
 ) -> RouteReport:
     """Rip up and reroute ``nets``; return a fresh :class:`RouteReport`.
 
-    Mutates ``state`` in place (demand, segments, routes) so successive
-    calls compose.  Metrics (HOF/VOF, wirelength, vias) are recomputed
-    over the *whole* solution, making the report directly comparable to
-    a cold full reroute.
+    Mutates ``state`` in place (demand, segments, routes, route terms)
+    so successive calls compose.  Metrics (HOF/VOF, wirelength, vias)
+    cover the *whole* solution, making the report directly comparable
+    to a cold full reroute; wirelength and vias sum the kept per-route
+    terms in route order, the same float additions a recount makes.
 
     Args:
         state: retained state from ``GlobalRouter(..., keep_state=True)``
@@ -115,17 +118,17 @@ def reroute_nets(
         cost_h_flat = cost_h.ravel()
         cost_v_flat = cost_v.ravel()
 
-        # Rip up every segment owned by a dirty net.
+        # Rip up every segment owned by a dirty net, in one pass.
         rip = np.isin(state.seg_net, nets)
-        for i in np.nonzero(rip)[0]:
-            commit_route(
-                state.routes[i], -1.0, dmd_h, dmd_v, cost_model,
-                cost_h_flat, cost_v_flat,
-            )
-        keep = ~rip
-        segments = [s for s, k in zip(state.segments, keep) if k]
-        routes = [r for r, k in zip(state.routes, keep) if k]
-        seg_net_list = list(state.seg_net[keep])
+        rip_routes(
+            [state.routes[i] for i in np.flatnonzero(rip).tolist()],
+            dmd_h, dmd_v, cost_model, cost_h_flat, cost_v_flat,
+        )
+        kept = np.flatnonzero(~rip).tolist()
+        segments = [state.segments[i] for i in kept]
+        routes = [state.routes[i] for i in kept]
+        route_terms = [state.route_terms[i] for i in kept]
+        seg_net_list = state.seg_net[kept].tolist()
 
         # Fresh RSMT decomposition of the dirty nets at current pins.
         new_segments, new_seg_net = build_net_segments(
@@ -146,6 +149,7 @@ def reroute_nets(
             )
             segments.append(new_segments[i])
             routes.append(route)
+            route_terms.append(route_length_and_vias(route, grid))
             seg_net_list.append(int(new_seg_net[i]))
             commit_route(
                 route, +1.0, dmd_h, dmd_v, cost_model,
@@ -177,21 +181,22 @@ def reroute_nets(
                 new_route = maze_route(
                     gx0, gy0, gx1, gy1, cost_h, cost_v, margin, memo=memo
                 )
-                if new_route is None:
-                    new_route = routes[i]
-                routes[i] = new_route
+                if new_route is not None and new_route is not routes[i]:
+                    routes[i] = new_route
+                    route_terms[i] = route_length_and_vias(new_route, grid)
                 commit_route(
-                    new_route, +1.0, dmd_h, dmd_v, cost_model,
+                    routes[i], +1.0, dmd_h, dmd_v, cost_model,
                     cost_h_flat, cost_v_flat,
                 )
             overflow_history.append(demand.overflow_ratio(grid))
 
         state.segments = segments
         state.routes = routes
+        state.route_terms = route_terms
         state.seg_net = np.asarray(seg_net_list, dtype=np.int64)
 
         hof, vof = demand.overflow_ratio(grid)
-        wirelength, via_count = wirelength_and_vias(routes, grid)
+        wirelength, via_count = sum_route_terms(route_terms)
         span.set(hof=hof, vof=vof, wirelength=wirelength)
 
     return RouteReport(

@@ -103,6 +103,11 @@ class RouteState:
     rip up the segments of a handful of nets, reroute them against live
     congestion, and report fresh metrics without touching the rest of
     the solution.
+
+    ``route_terms`` holds each route's ``(length, vias)`` term
+    (:func:`route_length_and_vias`), aligned with ``routes``, so a
+    reroute totals routed wirelength and vias without recounting the
+    routes it did not touch.
     """
 
     grid: RoutingGrid
@@ -111,6 +116,7 @@ class RouteState:
     segments: list
     seg_net: np.ndarray
     routes: list
+    route_terms: list
     pin_flat: np.ndarray
     params: RouterParams
 
@@ -162,29 +168,62 @@ def build_net_segments(
 
 
 def commit_route(route, sign, dmd_h, dmd_v, cost_model, cost_h_flat, cost_v_flat):
-    """Apply a route's demand and refresh costs on the touched cells."""
-    h_cells, v_cells = route
+    """Apply a route's demand and refresh costs on the touched cells.
+
+    Most routes touch two or three Gcells, so the refresh runs per cell
+    on Python floats rather than paying numpy's per-call overhead: the
+    same IEEE operations, in the same order, as the elementwise form in
+    :func:`rip_routes`.  ``w * over / capn`` associates as
+    ``(w * over) / capn`` here, unlike :meth:`CostModel.cost_maps`;
+    changing either order moves results.
+    """
     params = cost_model.params
     grid = cost_model.grid
-    if len(h_cells):
-        np.add.at(dmd_h, h_cells, sign)
-        capn = np.maximum(grid.cap_h.ravel()[h_cells], 1.0)
-        over = np.maximum(
-            dmd_h[h_cells] + 1.0 - params.slack * grid.cap_h.ravel()[h_cells], 0.0
-        )
-        cost_h_flat[h_cells] = (
-            1.0 + params.congestion_weight * over / capn
-            + cost_model.hist_h.ravel()[h_cells]
-        )
-    if len(v_cells):
-        np.add.at(dmd_v, v_cells, sign)
-        capn = np.maximum(grid.cap_v.ravel()[v_cells], 1.0)
-        over = np.maximum(
-            dmd_v[v_cells] + 1.0 - params.slack * grid.cap_v.ravel()[v_cells], 0.0
-        )
-        cost_v_flat[v_cells] = (
-            1.0 + params.congestion_weight * over / capn
-            + cost_model.hist_v.ravel()[v_cells]
+    if len(route[0]):
+        _commit_cells(route[0], sign, dmd_h, grid.cap_h, cost_model.hist_h,
+                      cost_h_flat, params)
+    if len(route[1]):
+        _commit_cells(route[1], sign, dmd_v, grid.cap_v, cost_model.hist_v,
+                      cost_v_flat, params)
+
+
+def _commit_cells(cells, sign, dmd, cap, hist, cost, params) -> None:
+    """One direction of :func:`commit_route` (``cap``/``hist`` are
+    2D maps, read through flat indices)."""
+    np.add.at(dmd, cells, sign)
+    slack, weight = params.slack, params.congestion_weight
+    for c in cells.tolist():
+        cap_c = cap.item(c)
+        over = max(dmd.item(c) + 1.0 - slack * cap_c, 0.0)
+        cost[c] = 1.0 + weight * over / max(cap_c, 1.0) + hist.item(c)
+
+
+def rip_routes(routes, dmd_h, dmd_v, cost_model, cost_h_flat, cost_v_flat):
+    """Remove every route's demand in one pass and refresh the costs.
+
+    Equal to ``commit_route(r, -1.0, ...)`` for each route in order:
+    ``np.add.at`` over the concatenated cells applies the same per-cell
+    sequence of -1.0 additions, and a cell's cost is a function of its
+    final demand, capacity and history alone (history does not change
+    here), so the per-route intermediate refreshes were dead writes.
+    """
+    if not routes:
+        return
+    params = cost_model.params
+    grid = cost_model.grid
+    for side, dmd, cap, hist, cost in (
+        (0, dmd_h, grid.cap_h, cost_model.hist_h, cost_h_flat),
+        (1, dmd_v, grid.cap_v, cost_model.hist_v, cost_v_flat),
+    ):
+        cells = np.concatenate([route[side] for route in routes])
+        if not len(cells):
+            continue
+        np.add.at(dmd, cells, -1.0)
+        cap_c = cap.ravel()[cells]
+        over = np.maximum(dmd[cells] + 1.0 - params.slack * cap_c, 0.0)
+        cost[cells] = (
+            1.0 + params.congestion_weight * over / np.maximum(cap_c, 1.0)
+            + hist.ravel()[cells]
         )
 
 
@@ -246,16 +285,30 @@ def _routes_touching(routes, hot_h, hot_v) -> list:
     return np.unique(np.concatenate(touched)).tolist()
 
 
-def wirelength_and_vias(routes, grid: RoutingGrid) -> tuple:
-    """Total routed length plus via count (Gcells used in both
-    directions by the same route are layer changes)."""
+def route_length_and_vias(route, grid: RoutingGrid) -> tuple:
+    """One route's ``(length, vias)`` term: distinct Gcells the route
+    uses in both directions are layer changes."""
+    h_cells, v_cells = route
+    length = len(h_cells) * grid.gcell_w + len(v_cells) * grid.gcell_h
+    if len(h_cells) and len(v_cells):
+        return length, len(set(h_cells.tolist()).intersection(v_cells.tolist()))
+    return length, 0
+
+
+def sum_route_terms(terms) -> tuple:
+    """Total ``(length, vias)`` of per-route terms, added in order (an
+    explicit loop: ``sum`` may compensate float additions)."""
     total = 0.0
     vias = 0
-    for h_cells, v_cells in routes:
-        total += len(h_cells) * grid.gcell_w + len(v_cells) * grid.gcell_h
-        if len(h_cells) and len(v_cells):
-            vias += len(np.intersect1d(h_cells, v_cells, assume_unique=False))
+    for length, route_vias in terms:
+        total += length
+        vias += route_vias
     return total, vias
+
+
+def wirelength_and_vias(routes, grid: RoutingGrid) -> tuple:
+    """Total routed length plus via count, recounted over ``routes``."""
+    return sum_route_terms(route_length_and_vias(r, grid) for r in routes)
 
 
 class GlobalRouter:
@@ -366,7 +419,8 @@ class GlobalRouter:
                 )
 
         hof, vof = demand.overflow_ratio(grid)
-        wirelength, via_count = wirelength_and_vias(routes, grid)
+        route_terms = [route_length_and_vias(r, grid) for r in routes]
+        wirelength, via_count = sum_route_terms(route_terms)
         state = None
         if self.keep_state:
             state = RouteState(
@@ -376,6 +430,7 @@ class GlobalRouter:
                 segments=segments,
                 seg_net=seg_net,
                 routes=routes,
+                route_terms=route_terms,
                 pin_flat=pin_flat,
                 params=params,
             )

@@ -2,8 +2,9 @@
 
 The streaming pipeline has three small parts:
 
-* :class:`ProgressWriter` — a :class:`repro.obs.Tracer` sink installed
-  *inside the worker process* (see :func:`repro.serve.shards.run_sharded`).
+* :class:`ProgressWriter` — the sink of a :class:`ProgressTracer`
+  installed *inside the worker process* (see
+  :func:`repro.serve.shards.run_sharded`).
   It filters the span stream down to the three progress loops the flow
   already narrates (``gp/iteration``, ``puffer/padding_round``,
   ``route/rrr_round``), converts each closed span into a
@@ -28,6 +29,8 @@ import asyncio
 import json
 import time
 
+from ..obs import Tracer
+from ..obs.trace import NOOP_INSTRUMENT, NOOP_SPAN
 from ..schema import PROGRESS_STAGES, JobEvent, JobProgress
 
 #: Span attribute holding the loop counter, per stage.
@@ -58,6 +61,26 @@ def progress_from_record(record: dict):
     return JobProgress(stage=stage, step=step, metrics=metrics)
 
 
+class ProgressTracer(Tracer):
+    """A tracer that records the progress spans and nothing else.
+
+    Every other span, event and instrument is the shared no-op
+    singleton, so a shard worker pays for the few records its
+    :class:`ProgressWriter` keeps rather than for the whole trace.
+    """
+
+    def span(self, name: str, **attrs):
+        if name in PROGRESS_STAGES:
+            return super().span(name, **attrs)
+        return NOOP_SPAN
+
+    def event(self, name: str, **attrs) -> None:
+        pass
+
+    def _instrument(self, kind: str, name: str):
+        return NOOP_INSTRUMENT
+
+
 class ProgressWriter:
     """Tracer sink writing progress samples as JSONL to ``path``."""
 
@@ -69,8 +92,10 @@ class ProgressWriter:
         progress = progress_from_record(record)
         if progress is None:
             return
-        json.dump(progress.to_dict(), self._file, separators=(",", ":"))
-        self._file.write("\n")
+        # json.dumps, not json.dump: the one-shot encoder is the C one.
+        self._file.write(
+            json.dumps(progress.to_dict(), separators=(",", ":")) + "\n"
+        )
         self._file.flush()
 
     def close(self) -> None:

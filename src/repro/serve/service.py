@@ -620,6 +620,7 @@ class PlacementService:
         cancel_event = self._cancel_events[job.id]
         loop = asyncio.get_running_loop()
         progress_path = pump = None
+        finished = asyncio.Event()
         if shard is not None and self._progress_dir:
             progress_path = os.path.join(
                 self._progress_dir, f"{job.id}.progress.jsonl"
@@ -630,7 +631,9 @@ class PlacementService:
                 None, self._execute, job, shard, progress_path
             )
             if progress_path is not None:
-                pump = asyncio.create_task(self._pump_progress(job, progress_path))
+                pump = asyncio.create_task(
+                    self._pump_progress(job, progress_path, finished)
+                )
             cancel_task = asyncio.create_task(cancel_event.wait())
             # In shard mode the executor enforces the real budget by
             # killing the worker; the loop-side timeout is only a
@@ -638,11 +641,20 @@ class PlacementService:
             wait_timeout = job.timeout
             if shard is not None and wait_timeout is not None:
                 wait_timeout += 10.0
-            done, _pending = await asyncio.wait(
-                {exec_future, cancel_task},
-                timeout=wait_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            try:
+                done, _pending = await asyncio.wait(
+                    {exec_future, cancel_task},
+                    timeout=wait_timeout,
+                    return_when=asyncio.FIRST_COMPLETED,
+                )
+            finally:
+                finished.set()
+            if pump is not None:
+                # Publish the worker's last progress lines before the
+                # terminal state: a job shorter than one poll interval
+                # would otherwise stream all its progress after "done",
+                # where followers have already stopped reading.
+                await pump
             if exec_future in done:
                 cancel_task.cancel()
                 if cancel_event.is_set():
@@ -665,8 +677,6 @@ class PlacementService:
                 self._abandon(exec_future)
                 self._finish(job, FAILED,
                              error=f"timeout after {job.timeout:g}s")
-            if pump is not None:
-                await pump
             sp.set(state=job.state, cache_hit=job.cache_hit, shard=job.shard)
 
     def _settle(self, job: Job, exec_future) -> None:
@@ -711,20 +721,23 @@ class PlacementService:
             timeout=job.timeout, progress_path=progress_path,
         )
 
-    async def _pump_progress(self, job: Job, path: str) -> None:
+    async def _pump_progress(self, job: Job, path: str,
+                             finished: asyncio.Event) -> None:
         """Poll the job's progress file into its event stream.
 
         Sleeps in ``progress_poll`` slices but wakes immediately when the
-        job settles, so a finished job never waits out a poll interval
-        before its worker slot frees up.
+        execution returns (``finished``), so a finished job never waits
+        out a poll interval before its worker slot frees up.
         """
         offset = 0
         try:
-            while not job.terminal:
+            while not finished.is_set():
                 offset = self._publish_progress(job, path, offset)
                 try:
-                    await self.jobs.wait(job.id, self.config.progress_poll)
-                except TimeoutError:
+                    await asyncio.wait_for(
+                        finished.wait(), self.config.progress_poll
+                    )
+                except asyncio.TimeoutError:
                     pass
             self._publish_progress(job, path, offset)
         finally:

@@ -12,10 +12,11 @@ submit lands in a fresh process.
 
 :func:`run_sharded` is the module-level (picklable) entry point every
 sharded job funnels through.  Inside the worker process it installs a
-private :class:`repro.obs.Tracer` whose only sink is a
+private :class:`repro.serve.events.ProgressTracer` whose only sink is a
 :class:`repro.serve.events.ProgressWriter`, so the progress spans the
 flow already emits (gp iteration, padding round, RRR round) stream out
-through the per-job progress file while full tracing stays off.  When
+through the per-job progress file while every other span and
+instrument stays a no-op.  When
 the runner cannot cross the process boundary (test fakes built from
 closures), the executor degrades inline in the parent — ``run_sharded``
 detects that by pid and leaves the parent's tracer untouched.
@@ -28,7 +29,7 @@ import threading
 
 from .. import obs
 from ..runtime import Task, TaskExecutor
-from .events import ProgressWriter
+from .events import ProgressTracer, ProgressWriter
 
 
 def run_sharded(runner, request: dict, progress_path: str | None,
@@ -43,7 +44,7 @@ def run_sharded(runner, request: dict, progress_path: str | None,
     if progress_path is None or os.getpid() == parent_pid:
         return runner(request)
     writer = ProgressWriter(progress_path)
-    tracer = obs.Tracer(sinks=[writer])
+    tracer = ProgressTracer(sinks=[writer])
     previous = obs.get_tracer()
     obs.set_tracer(tracer)
     try:

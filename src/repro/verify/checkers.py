@@ -22,6 +22,7 @@ import numpy as np
 from .. import obs
 from ..legalizer.padding import DEFAULT_AREA_CAP
 from ..netlist.design import Design
+from ..router.router import wirelength_and_vias
 from .violations import VerifyReport, Violation
 
 #: Verification levels, in increasing coverage order.
@@ -380,7 +381,9 @@ def check_netlist(ctx: VerifyContext) -> list:
 
 
 def check_routing(ctx: VerifyContext) -> list:
-    """Routing accounting: demand non-negative, overflow self-consistent."""
+    """Routing accounting: demand non-negative, overflow self-consistent,
+    and (when the routing state is kept) wirelength and vias equal to a
+    recount of the retained routes."""
     if ctx.grid is None or ctx.demand is None:
         return []
     grid, demand = ctx.grid, ctx.demand
@@ -423,6 +426,27 @@ def check_routing(ctx: VerifyContext) -> list:
                         allowed=float(recomputed),
                     )
                 )
+        state = ctx.route_report.state
+        if state is not None:
+            # The report totals the state's kept per-route terms; a
+            # recount sums the same terms in the same order, so the two
+            # must agree exactly.
+            wirelength, vias = wirelength_and_vias(state.routes, state.grid)
+            for name, reported, recounted in (
+                ("wirelength", ctx.route_report.wirelength, wirelength),
+                ("via count", ctx.route_report.via_count, vias),
+            ):
+                if reported != recounted:
+                    out.append(
+                        Violation(
+                            checker="routing/accounting",
+                            severity="error",
+                            message=f"reported {name} disagrees with a recount "
+                            "of the retained routes",
+                            measured=float(reported),
+                            allowed=float(recounted),
+                        )
+                    )
     return out
 
 

@@ -3,8 +3,9 @@
 This is the arithmetic the faster forms in :mod:`repro.kernels.vectorized`
 and :mod:`repro.router.router` must reproduce exactly: the maze wavefront
 with Jacobi sweeps (both halves of a sweep read the labels it started
-from), and victim selection scoring every route in turn.  Tests compare
-against it with ``np.array_equal`` and ``==``.
+from), victim selection scoring every route in turn, the per-route numpy
+demand commit, and the whole-solution wirelength/via recount.  Tests
+compare against it with ``np.array_equal`` and ``==``.
 """
 
 from __future__ import annotations
@@ -86,3 +87,51 @@ def select_victims_loop(routes, grid, demand, window=None, baseline=None) -> lis
             scored.append((score, i))
     scored.sort(reverse=True)
     return [i for _, i in scored]
+
+
+def commit_route_numpy(route, sign, dmd_h, dmd_v, cost_model, cost_h_flat,
+                       cost_v_flat):
+    """:func:`repro.router.router.commit_route` as elementwise numpy."""
+    h_cells, v_cells = route
+    params = cost_model.params
+    grid = cost_model.grid
+    if len(h_cells):
+        np.add.at(dmd_h, h_cells, sign)
+        capn = np.maximum(grid.cap_h.ravel()[h_cells], 1.0)
+        over = np.maximum(
+            dmd_h[h_cells] + 1.0 - params.slack * grid.cap_h.ravel()[h_cells], 0.0
+        )
+        cost_h_flat[h_cells] = (
+            1.0 + params.congestion_weight * over / capn
+            + cost_model.hist_h.ravel()[h_cells]
+        )
+    if len(v_cells):
+        np.add.at(dmd_v, v_cells, sign)
+        capn = np.maximum(grid.cap_v.ravel()[v_cells], 1.0)
+        over = np.maximum(
+            dmd_v[v_cells] + 1.0 - params.slack * grid.cap_v.ravel()[v_cells], 0.0
+        )
+        cost_v_flat[v_cells] = (
+            1.0 + params.congestion_weight * over / capn
+            + cost_model.hist_v.ravel()[v_cells]
+        )
+
+
+def rip_routes_sequential(routes, dmd_h, dmd_v, cost_model, cost_h_flat,
+                          cost_v_flat):
+    """:func:`repro.router.router.rip_routes` as one commit per route."""
+    for route in routes:
+        commit_route_numpy(route, -1.0, dmd_h, dmd_v, cost_model,
+                           cost_h_flat, cost_v_flat)
+
+
+def wirelength_and_vias_loop(routes, grid) -> tuple:
+    """:func:`repro.router.router.wirelength_and_vias` as one loop over
+    the whole solution, vias by ``np.intersect1d``."""
+    total = 0.0
+    vias = 0
+    for h_cells, v_cells in routes:
+        total += len(h_cells) * grid.gcell_w + len(v_cells) * grid.gcell_h
+        if len(h_cells) and len(v_cells):
+            vias += len(np.intersect1d(h_cells, v_cells, assume_unique=False))
+    return total, vias

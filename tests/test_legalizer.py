@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.legalizer import (
     SegmentIndex,
@@ -11,6 +13,8 @@ from repro.legalizer import (
 )
 from repro.netlist import DesignBuilder, Rect, Technology, check_legal
 from repro.placer import GlobalPlacer, PlacementParams
+
+from .legalizer_oracle import build_segments_rects
 
 
 class TestRowSegments:
@@ -34,6 +38,45 @@ class TestRowSegments:
         split_rows = [s for s in segments if s.y in (8.0, 16.0)]
         assert len(split_rows) == 4
         assert all(s.xhi <= 24 or s.xlo >= 40 for s in split_rows)
+
+    # Fixed cells on a quarter-unit lattice so edges touch, overlap each
+    # other, sit exactly on row boundaries and stick out of the die.
+    _blocker = st.tuples(
+        st.integers(-40, 300).map(lambda v: v / 4.0),   # x center
+        st.integers(-40, 300).map(lambda v: v / 4.0),   # y center
+        st.integers(1, 120).map(lambda v: v / 4.0),     # width
+        st.integers(1, 120).map(lambda v: v / 4.0),     # height
+        st.booleans(),                                  # macro
+    )
+
+    @given(
+        blockers=st.lists(_blocker, max_size=40),
+        origin=st.sampled_from([0.0, 3.5, -2.25]),
+        size=st.tuples(st.integers(4, 72), st.integers(8, 72)),
+        movable=st.integers(0, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rect_loop(self, blockers, origin, size, movable):
+        tech = Technology()
+        die = Rect(origin, origin, origin + size[0], origin + size[1])
+        b = DesignBuilder("rows", tech, die)
+        for i in range(movable):
+            b.add_cell(f"c{i}", 2, tech.row_height, x=origin + 2 * i + 1,
+                       y=origin + tech.row_height / 2)
+        for i, (x, y, w, h, macro) in enumerate(blockers):
+            b.add_cell(f"f{i}", w, h, x=origin + x, y=origin + y,
+                       movable=False, macro=macro)
+        d = b.build()
+        assert build_segments(d) == build_segments_rects(d)
+
+    def test_matches_rect_loop_on_region_blockers(self, placed):
+        """An ECO region legalization makes every clean cell a blocker."""
+        saved = placed.movable
+        try:
+            placed.movable = saved & (np.arange(placed.num_cells) % 7 == 0)
+            assert build_segments(placed) == build_segments_rects(placed)
+        finally:
+            placed.movable = saved
 
     def test_segment_index_nearest_row(self, small_design):
         index = SegmentIndex.build(small_design)

@@ -5,11 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.router.router as router_module
 from repro.placer import GlobalPlacer, PlacementParams
-from repro.router import DemandMaps, GlobalRouter, RouterParams, RoutingGrid
-from repro.router.router import select_victims
+from repro.router import (
+    CostModel,
+    CostParams,
+    DemandMaps,
+    GlobalRouter,
+    RouterParams,
+    RoutingGrid,
+)
+from repro.router.router import (
+    commit_route,
+    rip_routes,
+    route_length_and_vias,
+    select_victims,
+    sum_route_terms,
+    wirelength_and_vias,
+)
 
-from .router_oracle import select_victims_loop
+from .router_oracle import (
+    commit_route_numpy,
+    rip_routes_sequential,
+    select_victims_loop,
+    wirelength_and_vias_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +147,123 @@ class TestSelectVictims:
         got = select_victims(routes, grid, demand, window, baseline)
         want = select_victims_loop(routes, grid, demand, window, baseline)
         assert got == want
+
+
+def _random_cost_state(rng):
+    """A cost model on a small grid with zero-capacity cells,
+    fractional (pin-like) demand, non-zero history and random knobs."""
+    nx, ny = (int(n) for n in rng.integers(1, 10, size=2))
+    caps = [
+        rng.integers(0, 4, (nx, ny)) * rng.choice([1.0, 0.7, 2.5], (nx, ny))
+        for _ in "hv"
+    ]
+    grid = RoutingGrid(nx, ny, 1.0, 1.0, 0.0, 0.0, *caps)
+    demand = DemandMaps(*(
+        rng.integers(0, 5, (nx, ny)) + 0.05 * rng.integers(0, 7, (nx, ny))
+        for _ in "hv"
+    ))
+    params = CostParams(
+        congestion_weight=float(rng.uniform(0.5, 32.0)),
+        slack=float(rng.uniform(0.5, 1.0)),
+    )
+    cost_model = CostModel(grid, demand, params)
+    cost_model.hist_h += rng.integers(0, 3, (nx, ny)) * rng.random((nx, ny))
+    cost_model.hist_v += rng.integers(0, 3, (nx, ny)) * rng.random((nx, ny))
+    return cost_model
+
+
+def _random_routes(rng, num_gcells, count):
+    """Routes of up to 7 cells per direction; cells repeat within and
+    across routes."""
+    pool = rng.integers(0, num_gcells, size=4)  # shared hot cells
+    routes = []
+    for _ in range(count):
+        sides = []
+        for _ in "hv":
+            cells = rng.integers(0, num_gcells, int(rng.integers(0, 6)))
+            if rng.random() < 0.5:
+                cells = np.concatenate([cells, rng.choice(pool, 2)])
+            sides.append(cells.astype(np.int64))
+        routes.append(tuple(sides))
+    return routes
+
+
+def _live_arrays(cost_model):
+    cost_h, cost_v = cost_model.cost_maps()
+    return [
+        cost_model.demand.dmd_h.ravel().copy(),
+        cost_model.demand.dmd_v.ravel().copy(),
+        cost_h.ravel().copy(),
+        cost_v.ravel().copy(),
+    ]
+
+
+class TestCommitExactness:
+    """The per-cell commit, the one-pass rip-up and the kept totals
+    equal the elementwise-numpy and recount forms bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_commit_route_matches_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        cost_model = _random_cost_state(rng)
+        got = _live_arrays(cost_model)
+        want = [a.copy() for a in got]
+        routes = _random_routes(rng, cost_model.grid.num_gcells,
+                                int(rng.integers(1, 30)))
+        for route in routes:
+            sign = float(rng.choice([-1.0, 1.0]))
+            commit_route(route, sign, *got[:2], cost_model, *got[2:])
+            commit_route_numpy(route, sign, *want[:2], cost_model, *want[2:])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_rip_routes_matches_sequential_commits(self, seed):
+        rng = np.random.default_rng(seed)
+        cost_model = _random_cost_state(rng)
+        got = _live_arrays(cost_model)
+        want = [a.copy() for a in got]
+        routes = _random_routes(rng, cost_model.grid.num_gcells,
+                                int(rng.integers(0, 30)))
+        rip_routes(routes, *got[:2], cost_model, *got[2:])
+        rip_routes_sequential(routes, *want[:2], cost_model, *want[2:])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_kept_terms_total_like_a_recount(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(n) for n in rng.integers(1, 10, size=2))
+        gcell_w, gcell_h = (float(v) for v in rng.uniform(0.1, 7.3, size=2))
+        grid = RoutingGrid(nx, ny, gcell_w, gcell_h, 0.0, 0.0,
+                           np.ones((nx, ny)), np.ones((nx, ny)))
+        routes = _random_routes(rng, nx * ny, int(rng.integers(0, 60)))
+        want = wirelength_and_vias_loop(routes, grid)
+        assert wirelength_and_vias(routes, grid) == want
+        terms = [route_length_and_vias(r, grid) for r in routes]
+        assert sum_route_terms(terms) == want
+
+    def test_full_router_keeps_terms_of_its_routes(self, placed_small_design):
+        report = GlobalRouter(placed_small_design, keep_state=True).run()
+        state = report.state
+        assert len(state.route_terms) == len(state.routes)
+        assert (report.wirelength, report.via_count) == wirelength_and_vias_loop(
+            state.routes, state.grid
+        )
+
+    def test_full_router_matches_numpy_commits(self, placed_small_design,
+                                               monkeypatch):
+        fast = GlobalRouter(placed_small_design, keep_state=True).run()
+        monkeypatch.setattr(router_module, "commit_route", commit_route_numpy)
+        slow = GlobalRouter(placed_small_design, keep_state=True).run()
+        assert (fast.hof, fast.vof, fast.wirelength, fast.via_count) == (
+            slow.hof, slow.vof, slow.wirelength, slow.via_count
+        )
+        assert fast.overflow_history == slow.overflow_history
+        for a, b in zip(fast.state.routes, slow.state.routes):
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        np.testing.assert_array_equal(fast.demand.dmd_h, slow.demand.dmd_h)
+        np.testing.assert_array_equal(fast.demand.dmd_v, slow.demand.dmd_v)

@@ -11,6 +11,8 @@ them into the shard workers.
 """
 
 import asyncio
+import io
+import json
 import os
 import signal
 import threading
@@ -18,7 +20,8 @@ import time
 
 import pytest
 
-from repro import api
+from repro import api, obs
+from repro.serve.events import ProgressTracer, ProgressWriter, read_new_progress
 from repro.serve import (
     CANCELLED,
     DONE,
@@ -241,3 +244,41 @@ class TestShardProgressOverHttp:
         assert result["hpwl"] > 0
         assert any(e.kind == "progress" for e in seen)
         assert seen[-1].state == "done"
+
+
+class TestProgressTracer:
+    """Shard workers record the progress spans and nothing else."""
+
+    def test_only_progress_spans_reach_the_writer(self, tmp_path):
+        path = str(tmp_path / "job.progress")
+        writer = ProgressWriter(path)
+        tracer = ProgressTracer(sinks=[writer])
+        with obs.tracing(tracer):
+            with obs.span("flow/place"):
+                with obs.span("density/movable"):
+                    pass
+                for i in range(3):
+                    with obs.span("gp/iteration", i=i) as sp:
+                        sp.set(hpwl=10.0 / (i + 1), overflow=0.5 - 0.1 * i)
+                with obs.span("route/rrr_round", round=0) as sp:
+                    sp.set(hof=0.25, vof=0.0)
+                obs.counter("maze/calls").inc()
+                obs.histogram("gp/overflow").observe(0.5)
+                obs.event("runtime/task", key="k")
+        writer.close()
+        assert [r["name"] for r in tracer.ring] == ["gp/iteration"] * 3 + [
+            "route/rrr_round"
+        ]
+        assert tracer.metrics() == {}
+        samples, offset = read_new_progress(path)
+        assert [(p.stage, p.step) for p in samples] == [
+            ("gp", 0), ("gp", 1), ("gp", 2), ("route", 0)
+        ]
+        # Each line is byte for byte what the streaming encoder wrote.
+        with open(path) as f:
+            lines = f.read().splitlines(keepends=True)
+        assert offset == sum(len(line.encode()) for line in lines)
+        for line, sample in zip(lines, samples):
+            buf = io.StringIO()
+            json.dump(sample.to_dict(), buf, separators=(",", ":"))
+            assert line == buf.getvalue() + "\n"
