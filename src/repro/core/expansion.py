@@ -15,6 +15,8 @@ itself can move (cell spreading).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -46,112 +48,101 @@ def expand_demand(
 
     Congestion is judged against the *current* maps, so earlier
     expansions relieve later ones — imitating routers negotiating
-    resources one net at a time.  An uncongested segment changes
-    nothing, so after a run of them one array pass over the rest jumps
-    to the next congested one.
+    resources one net at a time.  Most segments span a few Gcells, so
+    the loop runs on Python floats over flat copies of the four maps
+    (index ``gx * ny + gy``) and writes the demand back once: the same
+    IEEE operations, in the same order, as the per-segment array form
+    kept as a test oracle.
     """
     params = params or ExpansionParams()
     segs = demand.i_segments
-    n = len(segs)
-    rows = list(zip(*(getattr(segs, f.name).tolist() for f in fields(segs))))
+    ny = grid.ny
+    dmd_h = demand.dmd_h.ravel().tolist()
+    dmd_v = demand.dmd_v.ravel().tolist()
+    # (cap, dmd, dmd_perp, rows, along stride, across stride) per
+    # direction: Gcell (along, across) of a segment is flat
+    # ``along * stride_along + across * stride_across``.
     views = (
-        # The transposed views make the vertical case identical.
-        (grid.cap_v.T, demand.dmd_v.T, demand.dmd_h.T, grid.nx),
-        (grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny),
+        (grid.cap_v.ravel().tolist(), dmd_v, dmd_h, grid.nx, 1, ny),
+        (grid.cap_h.ravel().tolist(), dmd_h, dmd_v, ny, ny, 1),
     )
-    first_congested = _over_capacity_scan(grid, demand)
-    with obs.span("congestion/expansion", segments=n):
-        i, clean = first_congested(0), 0
-        while i < n:
-            horizontal, *seg = rows[i]
-            clean = 0 if _expand_one(*views[horizontal], seg, params) else clean + 1
-            i += 1
-            if clean == _PROBE:
-                i, clean = first_congested(i), 0
+    radius, keep = params.radius, params.keep_weight
+    columns = (getattr(segs, f.name).tolist() for f in fields(segs))
+    expanded = 0
+    with obs.span("congestion/expansion", segments=len(segs)) as span:
+        for horizontal, row, lo, hi, lo_is_pin, hi_is_pin in zip(*columns):
+            cap, dmd, perp, num_rows, along, across = views[horizontal]
+            length = hi - lo + 1
+            first = lo * along + row * across
+            stop = first + length * along
+            for cell in range(first, stop, along):
+                if dmd[cell] - cap[cell] > 0.0:
+                    break
+            else:
+                continue
+            expanded += 1
+            lo_k = max(row - radius, 0) - row
+            hi_k = min(row + radius, num_rows - 1) - row
+            weights = []
+            for k in range(lo_k, hi_k + 1):
+                band = range(first + k * across, stop + k * across, along)
+                if length < 8:  # numpy's sum below 8 terms: one running sum
+                    spare = 0.0
+                    for cell in band:
+                        spare += cap[cell] - dmd[cell]
+                else:
+                    spare = _numpy_sum([cap[cell] - dmd[cell] for cell in band])
+                weights.append(0.0 if spare < 0.0 else spare)
+            weights[-lo_k] += keep * max(length, 1)
+            total = _numpy_sum(weights)
+            if total <= 0.0:
+                continue
+
+            # Redistribute the unit demand across the neighbouring rows.
+            for cell in range(first, stop, along):
+                dmd[cell] -= 1.0
+            for k, w in zip(range(lo_k, hi_k + 1), weights):
+                w /= total
+                if w <= 0.0:
+                    continue
+                for cell in range(first + k * across, stop + k * across, along):
+                    dmd[cell] += w
+                if k == 0:
+                    continue
+                # Detour connection at Steiner endpoints only (paper Fig.
+                # 3c): perpendicular demand between the original and
+                # displaced rows.
+                near, far = (row + 1, row + k) if k > 0 else (row + k, row - 1)
+                for end, is_pin in ((lo, lo_is_pin), (hi, hi_is_pin)):
+                    if not is_pin:
+                        base = end * along
+                        for cell in range(base + near * across,
+                                          base + (far + 1) * across, across):
+                            perp[cell] += w
+        span.set(expanded=expanded)
+        if expanded:
+            demand.dmd_h[...] = np.reshape(dmd_h, demand.dmd_h.shape)
+            demand.dmd_v[...] = np.reshape(dmd_v, demand.dmd_v.shape)
 
 
-#: Clean segments tested one by one before the next array pass: fewer
-#: slow down congested designs (MEDIA_SUBSYS expands 43% of them).
-_PROBE = 8
+def _numpy_sum(values: list) -> float:
+    """``float(np.asarray(values).sum())`` on Python floats: numpy's
+    float64 pairwise summation, from ``0.0``.  (Only the sign of a zero
+    result may differ, which no caller can observe.)"""
+    return _pairwise(values, 0, len(values))
 
 
-def _over_capacity_scan(grid: RoutingGrid, demand: DemandResult):
-    """``first(i)``: the first segment from ``i`` on that fails the
-    capacity test of :func:`_expand_one` (``demand - capacity <= 0`` on
-    every Gcell of its span), else the segment count.  Prefix counts of
-    passing Gcells along each segment direction (the transposed vertical
-    maps, as in :func:`expand_demand`) make each test two lookups."""
-    segs = demand.i_segments
-    nx, ny = grid.nx, grid.ny
-    split = (nx + 1) * ny
-    prefix = np.zeros(split + (ny + 1) * nx, dtype=np.int64)
-    counts = (
-        (demand.dmd_h, grid.cap_h, prefix[:split].reshape(nx + 1, ny)[1:]),
-        (demand.dmd_v.T, grid.cap_v.T, prefix[split:].reshape(ny + 1, nx)[1:]),
-    )
-    stride = np.where(segs.horizontal, ny, nx)
-    start = np.where(segs.horizontal, 0, split) + segs.lo * stride + segs.fixed
-    length = segs.hi - segs.lo + 1
-    end = start + length * stride
-
-    def first(i: int) -> int:
-        for dmd, cap, out in counts:
-            np.cumsum(dmd - cap <= 0.0, axis=0, out=out)
-        over = np.flatnonzero(prefix[end[i:]] - prefix[start[i:]] < length[i:])
-        return i + int(over[0]) if len(over) else len(length)
-
-    return first
-
-
-def _expand_one(
-    cap: np.ndarray,
-    dmd: np.ndarray,
-    dmd_perp: np.ndarray,
-    num_rows: int,
-    seg: tuple,
-    params: ExpansionParams,
-) -> bool:
-    """Redistribute one horizontal-convention I-segment ``(row, lo, hi,
-    lo_is_pin, hi_is_pin)`` if it is over capacity; returns whether it was.
-
-    ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
-    segment that is ``[gx, gy]``; the vertical case passes transposed
-    views so the same code applies.
-    """
-    row, lo, hi, lo_is_pin, hi_is_pin = seg
-    span = slice(lo, hi + 1)
-    length = hi - lo + 1
-    over = dmd[span, row] - cap[span, row]
-    if over.max() <= 0.0:
-        return False
-    lo_k = max(row - params.radius, 0) - row
-    hi_k = min(row + params.radius, num_rows - 1) - row
-    offsets = np.arange(lo_k, hi_k + 1)
-    avail = np.empty(len(offsets))
-    for i, k in enumerate(offsets):
-        spare = cap[span, row + k] - dmd[span, row + k]
-        avail[i] = max(float(spare.sum()), 0.0)
-    weights = avail.copy()
-    weights[offsets == 0] += params.keep_weight * max(length, 1)
-    total = weights.sum()
-    if total <= 0.0:
-        return True
-    weights /= total
-
-    # Redistribute the unit demand across the neighbouring rows.
-    dmd[span, row] -= 1.0
-    for k, w in zip(offsets, weights):
-        if w <= 0.0:
-            continue
-        dmd[span, row + k] += w
-        if k == 0:
-            continue
-        # Detour connection at Steiner endpoints only (paper Fig. 3c):
-        # perpendicular demand between the original and displaced rows.
-        step = 1 if k > 0 else -1
-        across = slice(min(row + step, row + k), max(row + step, row + k) + 1)
-        if not lo_is_pin:
-            dmd_perp[lo, across] += w
-        if not hi_is_pin:
-            dmd_perp[hi, across] += w
-    return True
+def _pairwise(values: list, lo: int, n: int) -> float:
+    # numpy's ``pairwise_sum``: one running sum below 8 terms, eight
+    # strided accumulators up to 128, halves (multiples of 8) beyond.
+    if n < 8:
+        return reduce(add, values[lo:lo + n], 0.0)
+    if n <= 128:
+        m = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = (
+            reduce(add, values[lo + j:m:8]) for j in range(8)
+        )
+        return reduce(add, values[m:lo + n], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)

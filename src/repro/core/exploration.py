@@ -106,10 +106,11 @@ class PlacementObjective:
         strategy = StrategyParams.from_dict(params)
         design = self.design_factory()
         # Trials differ only in the strategy, so they share the global
-        # placement up to the first padding round (repro.placer.prefix).
+        # placement up to the first padding round and most tree shapes
+        # (repro.placer.prefix).
         with prefix.reuse():
             PufferPlacer(design, strategy=strategy, placement=self.placement).run()
-        report = GlobalRouter(design, self.router_params).run()
+            report = GlobalRouter(design, self.router_params).run()
         return (report.total_overflow, report.wirelength)
 
     def loss_from_raw(self, raw: tuple) -> float:

@@ -520,8 +520,8 @@ def steiner_batch(x, y, start, max_degree):
         from ..rsmt.steiner import _adjacency, _finalize, _steinerize
 
         for b, i in enumerate(idx.tolist()):
-            pxl = list(px[b])
-            pyl = list(py[b])
+            pxl = px[b].tolist()
+            pyl = py[b].tolist()
             adjacency = _adjacency(d, edges[b])
             _steinerize(pxl, pyl, adjacency, num_pins=d)
             topo = _finalize(pxl, pyl, adjacency, num_pins=d)

@@ -11,10 +11,18 @@ The reference backend is the historical per-net loop, so
 ``REPRO_KERNELS=reference`` reproduces the old behavior exactly.
 Both callers go through :func:`net_gcells` (per-net Gcell dedup) and
 :func:`gcell_rsmt_batch` (trees packed as one :class:`TopologyBatch`).
+Strategy trials place one design many times, so inside :func:`reuse`
+(entered by :func:`repro.placer.prefix.reuse`) trees are shared by shape
+through a bounded per-process :class:`TreeMemo`.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +90,7 @@ class TopologyBatch:
 
 
 _NO_EDGES = np.zeros((0, 2), dtype=np.int64)
+_EMPTY = Topology(np.zeros(0), np.zeros(0), np.zeros(0, bool), _NO_EDGES)
 
 
 def csr_ranges(lo: np.ndarray, lens) -> tuple:
@@ -107,23 +116,138 @@ def net_gcells(pin_cell, net_start, net_pins, nets, span: int) -> tuple:
 
 def gcell_rsmt_batch(start, cells, rows, ny: int) -> TopologyBatch:
     """RSMTs of the ``rows`` of a CSR ``(start, cells)`` of per-net flat
-    Gcell ids, packed as one :class:`TopologyBatch` (``net`` = ``rows``)."""
+    Gcell ids, packed as one :class:`TopologyBatch` (``net`` = ``rows``).
+    Every row holds at least one Gcell (both callers pass nets spanning
+    two or more).
+
+    Each tree is built at its net's lower-left Gcell and moved back.
+    Gcell coordinates are small integers, so Prim's distances, the
+    Steiner medians and every tie-break commute with that translation:
+    it moves no bit, and inside :func:`reuse` it lets nets of the same
+    shape share one tree through the process's :class:`TreeMemo`.
+    """
     start, gather = csr_ranges(start[rows], np.diff(start)[rows])
-    cells = cells[gather]
-    trees = build_rsmt_batch(
-        (cells // ny).astype(np.float64), (cells % ny).astype(np.float64), start
-    ) if len(rows) else []
+    counts = np.diff(start)
+    gx, gy = np.divmod(cells[gather], ny)
+    corner_x, corner_y = _corner(gx, start), _corner(gy, start)
+    dx = gx - np.repeat(corner_x, counts)
+    dy = gy - np.repeat(corner_y, counts)
+    trees = [None] * len(rows)
+    memo = _ACTIVE.get()
+    fresh, keys = _recall(memo, trees, start, dx, dy)
+    if len(fresh):
+        sub_start, sub = csr_ranges(start[fresh], counts[fresh])
+        built = build_rsmt_batch(
+            dx[sub].astype(np.float64), dy[sub].astype(np.float64), sub_start
+        )
+        for i, tree in zip(fresh.tolist(), built):
+            trees[i] = tree
+    for i, key in keys.items():
+        memo.put(key, trees[i])
     point_start, _ = csr_ranges(0, [len(t.x) for t in trees])
     edge_start, _ = csr_ranges(0, [len(t.edges) for t in trees])
     # A leading empty tree keeps the concatenations typed when none is built.
-    trees.insert(0, Topology(np.zeros(0), np.zeros(0), np.zeros(0, bool), _NO_EDGES))
+    trees.insert(0, _EMPTY)
+    sizes = np.diff(point_start)
     shift = np.repeat(point_start[:-1], np.diff(edge_start))[:, None]
     return TopologyBatch(
         np.asarray(rows, dtype=np.int64),
         point_start,
-        np.round(np.concatenate([t.x for t in trees])).astype(np.int64),
-        np.round(np.concatenate([t.y for t in trees])).astype(np.int64),
+        np.round(np.concatenate([t.x for t in trees])).astype(np.int64)
+        + np.repeat(corner_x, sizes),
+        np.round(np.concatenate([t.y for t in trees])).astype(np.int64)
+        + np.repeat(corner_y, sizes),
         np.concatenate([t.is_pin for t in trees]),
         edge_start,
         np.concatenate([t.edges for t in trees]) + shift,
     )
+
+
+def _corner(coord: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per-net minimum of ``coord`` over CSR ``start`` (no net is empty)."""
+    if len(coord) == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.minimum.reduceat(coord, start[:-1])
+
+
+def _recall(memo, trees: list, start, dx, dy) -> tuple:
+    """Fill ``trees`` from ``memo``; return the positions left to build
+    and the memo keys of those worth storing (by position)."""
+    if memo is None:
+        return np.arange(len(trees)), {}
+    big = np.flatnonzero(np.diff(start) >= MEMO_MIN_POINTS)
+    # (dx, dy) packed in one int64: Gcell coordinates stay below 2**31.
+    packed = dx << 32 | dy
+    backend = kernels.current()
+    keys = {}
+    for i, lo, hi in zip(big.tolist(), start[big].tolist(), start[big + 1].tolist()):
+        key = (backend, packed[lo:hi].tobytes())
+        tree = memo.get(key)
+        if tree is None:
+            keys[i] = key
+        else:
+            trees[i] = tree
+    return np.array([i for i, t in enumerate(trees) if t is None], dtype=np.int64), keys
+
+
+#: Smallest net (in distinct Gcells) whose tree the memo keeps: below it
+#: the vectorized backend builds trees in closed form.
+MEMO_MIN_POINTS = 4
+
+#: Byte ceiling of a memo (key bytes plus tree arrays, object headers
+#: included); once a tree would pass it, new shapes are not stored.
+MEMO_MAX_BYTES = 8 << 20
+
+
+class TreeMemo:
+    """Trees by shape, as :func:`gcell_rsmt_batch` builds them: keyed by
+    the kernel backend and a net's Gcell points translated to their
+    lower-left corner, so a hit is exactly the tree a fresh build
+    returns.  Thread-safe; stored arrays are read-only."""
+
+    def __init__(self, max_bytes: int = MEMO_MAX_BYTES) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key) -> "Topology | None":
+        return self._entries.get(key)
+
+    def put(self, key, tree: Topology) -> bool:
+        """Keep a copy of ``tree`` under ``key`` unless the key is known
+        or the copy would pass :attr:`max_bytes`."""
+        arrays = [np.array(a) for a in (tree.x, tree.y, tree.is_pin, tree.edges)]
+        size = sys.getsizeof(key[1]) + sum(map(sys.getsizeof, arrays))
+        with self._lock:
+            if key in self._entries or self.nbytes + size > self.max_bytes:
+                return False
+            for array in arrays:
+                array.flags.writeable = False
+            self._entries[key] = Topology(*arrays)
+            self.nbytes += size
+            return True
+
+    def _after_fork(self) -> None:
+        # A forked child may inherit the lock held by another thread.
+        self._lock = threading.Lock()
+
+
+#: The process's memo, shared by every :func:`reuse` block.
+_MEMO = TreeMemo()
+_ACTIVE: ContextVar = ContextVar("repro_rsmt_memo", default=None)
+os.register_at_fork(after_in_child=_MEMO._after_fork)
+
+
+@contextmanager
+def reuse(memo: TreeMemo | None = None):
+    """Let :func:`gcell_rsmt_batch` in this context look trees up in and
+    add them to ``memo`` (default: the process's memo)."""
+    token = _ACTIVE.set(_MEMO if memo is None else memo)
+    try:
+        yield _ACTIVE.get()
+    finally:
+        _ACTIVE.reset(token)

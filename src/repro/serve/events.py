@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import struct
 import time
 
 from ..obs import Tracer
@@ -137,11 +138,14 @@ class EventLog:
 
     Loop-confined like the service: ``publish`` and ``wait`` must both
     run on the event-loop thread, which makes the waiter bookkeeping
-    race-free without locks.
+    race-free without locks.  A served job publishes hundreds of
+    progress samples and the log keeps them until the service stops, so
+    each is stored as a compact record (:func:`_pack`) and rebuilt into
+    an equal :class:`JobEvent` on read.
     """
 
     def __init__(self) -> None:
-        self._events: dict = {}   # job_id -> [JobEvent, ...]
+        self._events: dict = {}   # job_id -> [JobEvent | packed progress, ...]
         self._waiters: dict = {}  # job_id -> [Future, ...]
 
     def publish(self, job_id: str, kind: str, state: str | None = None,
@@ -152,7 +156,7 @@ class EventLog:
             seq=len(events), kind=kind, job_id=job_id, ts=time.time(),
             state=state, progress=progress, trial=trial,
         )
-        events.append(event)
+        events.append(_pack(event))
         for waiter in self._waiters.pop(job_id, []):
             if not waiter.done():
                 waiter.set_result(None)
@@ -160,7 +164,9 @@ class EventLog:
 
     def events(self, job_id: str, after: int = -1) -> list:
         """Every event of ``job_id`` with ``seq > after``, in order."""
-        return self._events.get(job_id, [])[max(after + 1, 0):]
+        first = max(after + 1, 0)
+        stored = self._events.get(job_id, [])[first:]
+        return [_unpack(job_id, seq, entry) for seq, entry in enumerate(stored, first)]
 
     def last_seq(self, job_id: str) -> int:
         """The newest event's ``seq`` (``-1`` for an empty stream)."""
@@ -186,3 +192,42 @@ class EventLog:
             if pending and waiter in pending:
                 pending.remove(waiter)
         return self.events(job_id, after)
+
+
+#: Layouts of packed progress records, shared by every record of the
+#: same stage and metric names and types: ``(stage, names, codec)``.
+_LAYOUTS: dict = {}
+_CODES = {float: "d", int: "q"}
+
+
+def _pack(event: JobEvent):
+    """A progress event as ``(layout, bytes)``: its timestamp, step and
+    metric values in one ``struct`` blob (lossless: float64 stays
+    float64, ints stay ints).  Any other event, or a value that does
+    not fit, is kept as it is."""
+    if event.kind != "progress":
+        return event
+    progress = event.progress
+    values = (event.ts, progress.step, *progress.metrics.values())
+    codes = "".join(_CODES.get(type(value), "?") for value in values)
+    if "?" in codes:
+        return event
+    key = (progress.stage, tuple(progress.metrics), codes)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = (*key[:2], struct.Struct("<" + codes))
+    try:
+        return layout, layout[2].pack(*values)
+    except struct.error:  # an int beyond 64 bits
+        return event
+
+
+def _unpack(job_id: str, seq: int, entry) -> JobEvent:
+    if isinstance(entry, JobEvent):
+        return entry
+    (stage, names, codec), blob = entry
+    ts, step, *values = codec.unpack(blob)
+    return JobEvent(
+        seq=seq, kind="progress", job_id=job_id, ts=ts,
+        progress=JobProgress(stage=stage, step=step, metrics=dict(zip(names, values))),
+    )

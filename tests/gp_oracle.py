@@ -17,7 +17,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from repro import kernels
-from repro.core.expansion import ExpansionParams, _expand_one
+from repro.core.expansion import ExpansionParams
 from repro.placer import ElectrostaticDensity
 
 # ----------------------------------------------------------------------
@@ -224,14 +224,68 @@ class OracleDensity(ElectrostaticDensity):
 
 
 def oracle_expand_demand(grid, demand, params=None):
-    """Test and expand every I-segment in turn."""
+    """Test and expand every I-segment in turn, on array views."""
     params = params or ExpansionParams()
     segs = demand.i_segments
     columns = [getattr(segs, f.name).tolist() for f in fields(segs)]
     for horizontal, *seg in zip(*columns):
         if horizontal:
-            _expand_one(grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny, seg, params)
+            oracle_expand_one(grid.cap_h, demand.dmd_h, demand.dmd_v, grid.ny, seg, params)
         else:
-            _expand_one(
+            oracle_expand_one(
                 grid.cap_v.T, demand.dmd_v.T, demand.dmd_h.T, grid.nx, seg, params
             )
+
+
+def oracle_expand_one(
+    cap: np.ndarray,
+    dmd: np.ndarray,
+    dmd_perp: np.ndarray,
+    num_rows: int,
+    seg: tuple,
+    params,
+) -> bool:
+    """Redistribute one horizontal-convention I-segment ``(row, lo, hi,
+    lo_is_pin, hi_is_pin)`` if it is over capacity; returns whether it was.
+
+    ``cap``/``dmd`` are indexed ``[along, across]``: for a horizontal
+    segment that is ``[gx, gy]``; the vertical case passes transposed
+    views so the same code applies.
+    """
+    row, lo, hi, lo_is_pin, hi_is_pin = seg
+    span = slice(lo, hi + 1)
+    length = hi - lo + 1
+    over = dmd[span, row] - cap[span, row]
+    if over.max() <= 0.0:
+        return False
+    lo_k = max(row - params.radius, 0) - row
+    hi_k = min(row + params.radius, num_rows - 1) - row
+    offsets = np.arange(lo_k, hi_k + 1)
+    avail = np.empty(len(offsets))
+    for i, k in enumerate(offsets):
+        spare = cap[span, row + k] - dmd[span, row + k]
+        avail[i] = max(float(spare.sum()), 0.0)
+    weights = avail.copy()
+    weights[offsets == 0] += params.keep_weight * max(length, 1)
+    total = weights.sum()
+    if total <= 0.0:
+        return True
+    weights /= total
+
+    # Redistribute the unit demand across the neighbouring rows.
+    dmd[span, row] -= 1.0
+    for k, w in zip(offsets, weights):
+        if w <= 0.0:
+            continue
+        dmd[span, row + k] += w
+        if k == 0:
+            continue
+        # Detour connection at Steiner endpoints only (paper Fig. 3c):
+        # perpendicular demand between the original and displaced rows.
+        step = 1 if k > 0 else -1
+        across = slice(min(row + step, row + k), max(row + step, row + k) + 1)
+        if not lo_is_pin:
+            dmd_perp[lo, across] += w
+        if not hi_is_pin:
+            dmd_perp[hi, across] += w
+    return True

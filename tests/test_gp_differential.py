@@ -1,9 +1,9 @@
 """Whole-flow differential of the batched global-placement evaluation.
 
-The stacked WA model, the one-solve density system and the skip-ahead
-demand expansion must leave every PUFFER result bit for bit where the
-per-axis, per-grid, segment-by-segment evaluation in ``gp_oracle`` left
-it.  Runs under either kernel backend.
+The stacked WA model, the one-solve density system and the demand
+expansion on Python floats must leave every PUFFER result bit for bit
+where the per-axis, per-grid, segment-by-segment evaluation in
+``gp_oracle`` left it.  Runs under either kernel backend.
 """
 
 import copy

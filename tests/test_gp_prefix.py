@@ -7,7 +7,8 @@ the strategy: positions, GP history, gradient-evaluation count, padding,
 legal widths and the route report — when the new trigger falls inside
 the record (cut), after it (extend), and for every flow.  The matrix at
 the end runs one request through each execution mode, store cold and
-warm.
+warm, the tree memo of :mod:`repro.rsmt.batch` with it: its route
+report must not move either.
 """
 
 import asyncio
@@ -27,6 +28,7 @@ from repro.core.puffer import PufferPlacer
 from repro.core.strategy import StrategyParams
 from repro.placer import GlobalPlacer, PlacementParams, prefix
 from repro.router import GlobalRouter
+from repro.rsmt import batch as rsmt_batch
 from repro.serve import PlacementService, ServiceClient, ServiceConfig
 
 SCALE = 0.0015
@@ -308,6 +310,8 @@ class TestDeterminismMatrix:
     def test_every_mode_equals_plain_run(self, mode, reference, monkeypatch):
         store = prefix.PrefixStore()
         monkeypatch.setattr(prefix, "_STORE", store)  # cold, also in forked shards
+        memo = rsmt_batch.TreeMemo()  # the tree memo as well
+        monkeypatch.setattr(rsmt_batch, "_MEMO", memo)
         if mode == "api":
             summaries = []
             for _ in range(2):
@@ -320,6 +324,6 @@ class TestDeterminismMatrix:
             summaries = self.served(2 if mode == "shards" else 0,
                                     3 if mode == "shards" else 2)
         if mode != "shards":
-            assert store.nbytes > 0  # the later runs were warm
+            assert store.nbytes > 0 and len(memo) > 0  # the later runs were warm
         for summary in summaries:
             assert self.untimed(summary) == reference

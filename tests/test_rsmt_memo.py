@@ -1,0 +1,226 @@
+"""Steinerization against its reference loop, and the tree memo.
+
+:mod:`repro.rsmt.steiner` keeps each vertex's best median insertion
+between passes; ``rsmt_oracle`` rescans every vertex every pass.  Trees
+must match in points, pin flags, edges and dtypes, under both kernel
+backends.  :class:`repro.rsmt.batch.TreeMemo` shares trees by shape
+inside ``reuse()``: a hit must equal a fresh build.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.placer import prefix
+from repro.rsmt import batch, build_rsmt
+from repro.rsmt.batch import TreeMemo, build_rsmt_batch, gcell_rsmt_batch
+
+from .rsmt_oracle import oracle_build_rsmt
+
+FIELDS = ("x", "y", "is_pin", "edges")
+BATCH_FIELDS = ("net", "point_start", "gx", "gy", "is_pin", "edge_start", "edges")
+
+
+def assert_same_arrays(got, want, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def tie_heavy_nets(draw, min_size=4, max_size=20):
+    """Distinct points on a small integer grid: many equal distances."""
+    side = draw(st.integers(3, 9))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, side - 1), st.integers(0, side - 1)),
+        min_size=min_size, max_size=max_size, unique=True,
+    ).filter(lambda pts: len(pts) >= min_size))
+    return np.array(cells, dtype=np.float64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nets=st.lists(tie_heavy_nets(), min_size=1, max_size=6))
+def test_steinerization_matches_the_oracle(backend, nets):
+    start = np.concatenate(([0], np.cumsum([len(p) for p in nets])))
+    points = np.concatenate(nets)
+    with kernels.using(backend):
+        trees = build_rsmt_batch(points[:, 0], points[:, 1], start)
+    for pts, tree in zip(nets, trees):
+        assert_same_arrays(tree, oracle_build_rsmt(pts[:, 0], pts[:, 1]), FIELDS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from([0.0, 0.5, 1.25, 3.0, 7.75]),
+              st.sampled_from([0.0, 2.5, 3.0, 4.125])),
+    min_size=4, max_size=14, unique=True,
+))
+def test_fractional_ties_match_the_oracle(points):
+    x, y = np.array(points).T
+    assert_same_arrays(build_rsmt(x, y), oracle_build_rsmt(x, y), FIELDS)
+
+
+def gcell_nets(seed, nets=40, nx=12, ny=9, shapes=None):
+    """CSR ``(start, cells)`` of per-net sorted distinct flat Gcell ids;
+    ``shapes`` repeats a few point patterns at other corners."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for i in range(nets):
+        if shapes is not None:
+            shape = shapes[i % len(shapes)]
+            span = shape.max(axis=0)
+            corner = rng.integers(0, [nx - span[0], ny - span[1]])
+            pts = shape + corner
+        else:
+            size = int(rng.integers(2, 16))
+            flat = rng.choice(nx * ny, size=size, replace=False)
+            pts = np.stack([flat // ny, flat % ny], axis=1)
+        groups.append(np.unique(pts[:, 0] * ny + pts[:, 1]))
+    start = np.concatenate(([0], np.cumsum([len(g) for g in groups])))
+    return start, np.concatenate(groups), np.arange(nets), ny
+
+
+@pytest.fixture
+def built_degrees(monkeypatch):
+    """Sizes of the point sets every ``steiner_batch`` call builds."""
+    seen = []
+    build = kernels.steiner_batch
+
+    def recording(x, y, start, max_degree):
+        seen.extend(np.diff(start).tolist())
+        return build(x, y, start, max_degree)
+
+    monkeypatch.setattr(kernels, "steiner_batch", recording)
+    return seen
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+def test_hits_equal_fresh_builds(backend, built_degrees):
+    shapes = [np.array(s) for s in (
+        [[0, 0], [2, 1], [1, 3], [3, 3]],
+        [[0, 2], [1, 0], [2, 2], [4, 1], [4, 4], [0, 4]],
+        [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]],
+    )]
+    args = gcell_nets(3, nets=30, shapes=shapes)
+    memo = TreeMemo()
+    with kernels.using(backend):
+        fresh = gcell_rsmt_batch(*args)
+        built_degrees.clear()
+        with batch.reuse(memo):
+            cold = gcell_rsmt_batch(*args)
+            assert len(built_degrees) == 30  # the memo fills after a batch
+            built_degrees.clear()
+            warm = gcell_rsmt_batch(*args)
+    assert built_degrees == []  # three shapes at thirty corners
+    assert len(memo) == 3
+    assert_same_arrays(cold, fresh, BATCH_FIELDS)
+    assert_same_arrays(warm, fresh, BATCH_FIELDS)
+
+
+def test_random_nets_hit_and_miss_exactly():
+    memo = TreeMemo()
+    for seed in range(4):
+        args = gcell_nets(seed, nets=60)
+        fresh = gcell_rsmt_batch(*args)
+        with batch.reuse(memo):
+            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
+            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
+    # Nets below MEMO_MIN_POINTS are never stored.
+    assert all(len(key[1]) >= 8 * batch.MEMO_MIN_POINTS for key in memo._entries)
+
+
+def test_stored_arrays_are_read_only():
+    memo = TreeMemo()
+    with batch.reuse(memo):
+        gcell_rsmt_batch(*gcell_nets(1))
+    assert len(memo)
+    for key in memo._entries:
+        tree = memo.get(key)
+        for name in FIELDS:
+            array = getattr(tree, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_backend_is_part_of_the_key(built_degrees):
+    memo = TreeMemo()
+    args = gcell_nets(2)
+    with batch.reuse(memo):
+        with kernels.using("vectorized"):
+            gcell_rsmt_batch(*args)
+        stored = len(memo)
+        built_degrees.clear()
+        with kernels.using("reference"):
+            gcell_rsmt_batch(*args)
+    assert stored and len(memo) == 2 * stored
+    assert sum(d >= batch.MEMO_MIN_POINTS for d in built_degrees) == stored
+    assert {key[0] for key in memo._entries} == set(kernels.BACKENDS)
+
+
+def test_inactive_outside_reuse(monkeypatch):
+    memo = TreeMemo()
+    monkeypatch.setattr(batch, "_MEMO", memo)
+    args = gcell_nets(5)
+    gcell_rsmt_batch(*args)
+    assert len(memo) == 0 and memo.nbytes == 0
+    with prefix.reuse(prefix.PrefixStore()):  # the GP prefix scope enters it
+        gcell_rsmt_batch(*args)
+    stored = len(memo)
+    assert stored > 0
+    gcell_rsmt_batch(*gcell_nets(6))
+    assert len(memo) == stored
+
+
+def test_byte_ceiling_holds():
+    memo = TreeMemo(max_bytes=3000)
+    for seed in range(5):
+        args = gcell_nets(seed, nets=50)
+        fresh = gcell_rsmt_batch(*args)
+        with batch.reuse(memo):
+            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
+        assert memo.nbytes <= memo.max_bytes
+    assert 0 < len(memo) and memo.nbytes > memo.max_bytes // 2
+    size = memo.nbytes
+    assert not memo.put(("vectorized", b"\0" * 4000), memo.get(next(iter(memo._entries))))
+    assert memo.nbytes == size
+
+
+def test_concurrent_batches_keep_exact_bytes():
+    # Thread-mode service workers share the process's memo.
+    memo = TreeMemo()
+    cases = [gcell_nets(seed, nets=30) for seed in range(4)]
+    fresh = [gcell_rsmt_batch(*args) for args in cases]
+    failures = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def worker(offset):
+            with batch.reuse(memo):
+                for i in [offset, *range(len(cases))]:
+                    got = gcell_rsmt_batch(*cases[i])
+                    if any(not np.array_equal(getattr(got, f), getattr(fresh[i], f))
+                           for f in BATCH_FIELDS):
+                        failures.append(i)
+
+        threads = [threading.Thread(target=worker, args=(i % 4,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    stored = [memo.get(key) for key in memo._entries]
+    assert memo.nbytes == sum(
+        sys.getsizeof(key[1]) + sum(sys.getsizeof(getattr(t, f)) for f in FIELDS)
+        for key, t in zip(memo._entries, stored)
+    )

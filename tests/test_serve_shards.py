@@ -232,6 +232,19 @@ class TestShardProgressOverHttp:
         assert job["shard"] in (0, 1)
         assert job["result"]["hpwl"] > 0
 
+    def test_follow_and_replay_return_equal_events(self, server):
+        # The log keeps progress packed: every read rebuilds the same events.
+        from repro.placer import PlacementParams
+
+        config = api.RunConfig(
+            scale=0.0015, seed=5, placement=PlacementParams(max_iters=30)
+        )
+        job = server.submit("OR1200", config=config)
+        followed = list(server.follow(job["id"], timeout=300))
+        assert sum(e.kind == "progress" for e in followed) > 10
+        assert server.events(job["id"]) == followed
+        assert server.events(job["id"], after=5) == followed[6:]
+
     def test_run_with_progress_callback_sees_live_events(self, server):
         from repro.placer import PlacementParams
 
