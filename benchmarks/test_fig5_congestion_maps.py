@@ -9,9 +9,10 @@ are printed; PGM images are written under ``benchmarks/out/``.
 import os
 
 
+from repro import api
 from repro.baselines import place_commercial_like, place_replace_like
 from repro.benchgen import make_design
-from repro.evalkit import place_puffer, side_by_side, utilization_maps, write_pgm
+from repro.evalkit import side_by_side, utilization_maps, write_pgm
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
 
@@ -20,7 +21,7 @@ from conftest import save_artifact
 FLOWS = [
     ("Commercial_Inn*", place_commercial_like),
     ("RePlAce-like", place_replace_like),
-    ("PUFFER", place_puffer),
+    ("PUFFER", api.flow_puffer),
 ]
 
 

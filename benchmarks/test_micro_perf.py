@@ -12,7 +12,7 @@ from repro.benchgen import make_design
 from repro.core import CongestionEstimator
 from repro.placer import ElectrostaticDensity, GlobalPlacer, PlacementParams, WirelengthModel
 from repro.router import GlobalRouter, RouterParams
-from repro.rsmt import build_rsmt
+from repro.rsmt import batch, build_rsmt
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,11 @@ def test_m3_rsmt(benchmark, rng=np.random.default_rng(5)):
     assert len(topologies) == 200
 
 
-def test_m4_congestion_estimation(benchmark, perf_design):
+def test_m4_congestion_estimation(benchmark, perf_design, monkeypatch):
     estimator = CongestionEstimator(perf_design)
 
     def estimate():
-        estimator._topology_cache.clear()  # measure the cold path
+        monkeypatch.setattr(batch, "_MEMO", batch.TreeMemo())  # the cold path
         return estimator.estimate()
 
     cmap, topologies, _ = benchmark(estimate)

@@ -11,9 +11,10 @@ Run:
 
 import sys
 
+from repro import api
 from repro.baselines import place_commercial_like, place_replace_like
 from repro.benchgen import make_design, suite_names
-from repro.evalkit import place_puffer, side_by_side, utilization_maps
+from repro.evalkit import side_by_side, utilization_maps
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
 
@@ -28,7 +29,7 @@ def main() -> None:
     flows = [
         ("Commercial_Inn*", place_commercial_like),
         ("RePlAce-like", place_replace_like),
-        ("PUFFER", place_puffer),
+        ("PUFFER", api.flow_puffer),
     ]
     print(f"{'placer':<18}{'HOF(%)':>8}{'VOF(%)':>8}{'WL':>12}{'RT(s)':>8}")
     v_maps = {}

@@ -1,9 +1,8 @@
 """Unified run facade: one front door for every placement flow.
 
-Historically each entry point — :func:`repro.evalkit.place_puffer`, the
-CLI's private flow table, :func:`repro.evalkit.run_benchmark` — resolved
-flows and threaded parameters its own way.  This module centralizes all
-of that:
+Every entry point — the CLI, the suite runner
+(:func:`repro.evalkit.run_benchmark`), exploration and served jobs —
+resolves flows and threads parameters through this module:
 
 * a canonical **flow registry** (:data:`FLOWS`) of picklable,
   module-level flow functions, plus :data:`FLOW_ALIASES` mapping the
@@ -14,8 +13,9 @@ of that:
   orchestration entry points that accept an optional ``trace`` target
   and execute under :func:`repro.obs.tracing`.
 
-The legacy entry points in :mod:`repro.evalkit.runner` and the CLI
-delegate here, so flow resolution has exactly one home.
+Flow resolution has exactly one home: :func:`flow_puffer` and the
+other registry functions are the flows, and :func:`table2_flows` is the
+Table-II column set.
 
 Example:
     >>> from repro import api

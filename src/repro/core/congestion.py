@@ -77,7 +77,6 @@ class CongestionEstimator:
         self.design = design
         self.params = params or EstimatorParams()
         self._capacity = CapacityModel(design)
-        self._topology_cache: dict = {}
 
     @property
     def grid(self) -> RoutingGrid:
@@ -92,7 +91,7 @@ class CongestionEstimator:
         """
         with obs.span("congestion/estimate") as est_span:
             grid = self.grid
-            topologies = build_topologies(self.design, grid, cache=self._topology_cache)
+            topologies = build_topologies(self.design, grid)
             demand = accumulate_demand(
                 self.design, grid, topologies, self.params.pin_penalty
             )

@@ -17,8 +17,8 @@ import numpy as np
 from .. import kernels, obs
 from ..netlist.design import Design
 from ..router.grid import RoutingGrid
-from ..router.router import pin_flat_indices
-from ..rsmt.batch import TopologyBatch, csr_ranges, gcell_rsmt_batch, net_gcells
+from ..router.router import net_topologies, pin_flat_indices
+from ..rsmt.batch import TopologyBatch
 
 
 @dataclass(eq=False)
@@ -43,75 +43,18 @@ class StraightSegments:
         return len(self.horizontal)
 
 
-def build_topologies(
-    design: Design, grid: RoutingGrid, cache: dict | None = None
-) -> TopologyBatch:
-    """RSMT topologies of every multi-Gcell net at the current placement.
-
-    Args:
-        design: the placed design.
-        grid: the Gcell grid.
-        cache: optional memo across calls (the latest tree of every net
-            built so far).  Nets whose pin Gcells did not move since then
-            reuse their topology — between consecutive padding rounds
-            most nets qualify, which makes repeated estimation cheap.
-    """
+def build_topologies(design: Design, grid: RoutingGrid) -> TopologyBatch:
+    """RSMT topologies of every multi-Gcell net at the current placement
+    (nets with fewer than two distinct Gcells are local: pin penalty
+    only).  Trees of nets whose shape was seen before, in any round or
+    caller of this process, come from the tree memo of
+    :mod:`repro.rsmt.batch`."""
     with obs.span("congestion/topologies") as span:
-        ustart, ucell = net_gcells(
-            pin_flat_indices(design, grid), design.net_start, design.net_pins,
-            np.arange(design.num_nets), grid.nx * grid.ny,
-        )
-        counts = np.diff(ustart)
-        # Nets with < 2 distinct Gcells are local: pin penalty only.
-        eligible = np.flatnonzero(counts >= 2)
-
-        cache = {} if cache is None else cache
-        store = cache.get("batch")
-        if store is None:
-            store = gcell_rsmt_batch(ustart, ucell, eligible[:0], grid.ny)
-        fresh = np.ones(len(eligible), dtype=bool)
-        slot = np.zeros(len(eligible), dtype=np.int64)
-        if len(store):
-            # The memo holds the latest tree of every net built so far, by
-            # net.  A tree starts with its pins — the net's sorted distinct
-            # Gcells when it was built — so reuse it when those match.
-            slot = np.minimum(np.searchsorted(store.net, eligible), len(store) - 1)
-            pins = np.concatenate(([0], np.cumsum(store.is_pin)))[store.point_start]
-            cand = np.flatnonzero(
-                (store.net[slot] == eligible) & (np.diff(pins)[slot] == counts[eligible])
-            )
-            nets = eligible[cand]
-            _, cur = csr_ranges(ustart[nets], counts[nets])
-            _, old = csr_ranges(store.point_start[slot[cand]], counts[nets])
-            moved = np.bincount(
-                np.repeat(np.arange(len(cand)), counts[nets]),
-                weights=ucell[cur] != store.gx[old] * grid.ny + store.gy[old],
-                minlength=len(cand),
-            )
-            fresh[cand[moved == 0]] = False
-
-        built = gcell_rsmt_batch(ustart, ucell, eligible[fresh], grid.ny)
-        # Both sources in one batch, then gathers in net order: this
-        # round's batch, and the memo (stored trees not rebuilt + new ones).
-        source = _concat(store, built)
-        order = np.where(fresh, len(store) + np.cumsum(fresh) - 1, slot)
-        rebuilt = np.isin(store.net, eligible[fresh])
-        keep = np.concatenate([np.flatnonzero(~rebuilt), order[fresh]])
-        cache["batch"] = source.take(keep[np.argsort(source.net[keep])])
-        span.set(nets=len(eligible), cached=len(eligible) - len(built))
-    return source.take(order)
-
-
-def _concat(a: TopologyBatch, b: TopologyBatch) -> TopologyBatch:
-    return TopologyBatch(
-        np.concatenate([a.net, b.net]),
-        np.concatenate([a.point_start, b.point_start[1:] + a.point_start[-1]]),
-        np.concatenate([a.gx, b.gx]),
-        np.concatenate([a.gy, b.gy]),
-        np.concatenate([a.is_pin, b.is_pin]),
-        np.concatenate([a.edge_start, b.edge_start[1:] + a.edge_start[-1]]),
-        np.concatenate([a.edges, b.edges + len(a.gx)]),
-    )
+        hits = obs.counter("rsmt/memo_hits")
+        before = hits.value
+        topologies = net_topologies(design, grid, np.arange(design.num_nets))
+        span.set(nets=len(topologies), cached=int(hits.value - before))
+    return topologies
 
 
 @dataclass

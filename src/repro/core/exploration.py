@@ -22,6 +22,7 @@ large benchmarks (experiment A4 measures this transfer).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,8 @@ class SuiteDesignFactory:
 
     Equivalent to ``lambda: make_design(name, scale, seed)`` but able to
     cross a process boundary (parallel exploration workers) and to be
-    hashed into runtime cache keys.
+    hashed into runtime cache keys.  Each call returns a deep copy of a
+    design generated once per process.
     """
 
     name: str
@@ -56,9 +58,18 @@ class SuiteDesignFactory:
     seed: int = 0
 
     def __call__(self):
-        from ..benchgen import make_design
+        key = (self.name, self.scale, self.seed)
+        template = _TEMPLATES.get(key)
+        if template is None:
+            from ..benchgen import make_design
 
-        return make_design(self.name, self.scale, seed=self.seed)
+            template = _TEMPLATES[key] = make_design(self.name, self.scale, seed=self.seed)
+        return copy.deepcopy(template)
+
+
+#: The design each :class:`SuiteDesignFactory` configuration generated
+#: in this process; a deep copy costs about 1/40 of a generation.
+_TEMPLATES: dict = {}
 
 
 class PlacementObjective:
@@ -106,11 +117,10 @@ class PlacementObjective:
         strategy = StrategyParams.from_dict(params)
         design = self.design_factory()
         # Trials differ only in the strategy, so they share the global
-        # placement up to the first padding round and most tree shapes
-        # (repro.placer.prefix).
+        # placement up to the first padding round (repro.placer.prefix).
         with prefix.reuse():
             PufferPlacer(design, strategy=strategy, placement=self.placement).run()
-            report = GlobalRouter(design, self.router_params).run()
+        report = GlobalRouter(design, self.router_params).run()
         return (report.total_overflow, report.wirelength)
 
     def loss_from_raw(self, raw: tuple) -> float:

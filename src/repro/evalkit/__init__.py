@@ -10,7 +10,7 @@ from .paper import (
     ShapeCheck,
     shape_checks,
 )
-from .runner import SuiteRunConfig, default_flows, place_puffer, run_benchmark, run_suite
+from .runner import SuiteRunConfig, run_benchmark, run_suite
 from .svg import placement_svg, save_placement_svg
 from .tables import format_table1, format_table2
 from .trend import convergence_chart, sparkline
@@ -28,10 +28,8 @@ __all__ = [
     "aggregate",
     "ascii_heatmap",
     "convergence_chart",
-    "default_flows",
     "format_table1",
     "format_table2",
-    "place_puffer",
     "placement_svg",
     "run_benchmark",
     "run_suite",

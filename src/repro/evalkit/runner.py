@@ -44,20 +44,6 @@ from ..runtime import shm
 from .metrics import PlacerMetrics
 
 
-def place_puffer(design, placement=None, strategy: StrategyParams | None = None):
-    """PUFFER flow adapter (thin wrapper over :func:`repro.api.flow_puffer`)."""
-    return api.flow_puffer(design, placement=placement, strategy=strategy)
-
-
-def default_flows(strategy: StrategyParams | None = None) -> dict:
-    """The three Table-II flows, in the paper's column order.
-
-    Thin wrapper over :func:`repro.api.table2_flows`; flow resolution
-    lives behind the facade.
-    """
-    return api.table2_flows(strategy)
-
-
 @dataclass
 class SuiteRunConfig:
     """Configuration of a suite evaluation run.
@@ -229,7 +215,7 @@ def run_suite(
     Args:
         config: run configuration.
         flows: ``name -> flow(design, placement_params)`` mapping
-            (defaults to :func:`default_flows`; the defaults are
+            (defaults to :func:`repro.api.table2_flows`; the defaults are
             reconstructed inside workers, so they parallelize — custom
             callables must be picklable to leave the main process).
         progress: optional callable receiving each finished
@@ -261,7 +247,7 @@ def run_suite(
 
     config = config or SuiteRunConfig()
     custom_flows = flows is not None
-    flows = flows if custom_flows else default_flows(strategy)
+    flows = flows if custom_flows else api.table2_flows(strategy)
     names = config.benchmarks or suite_names()
     telemetry = telemetry or Telemetry()
     if isinstance(cache, str):

@@ -49,9 +49,10 @@ class _NoopSpan:
 
 
 class _NoopInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
+    """Shared do-nothing counter/gauge/histogram (a counter that reads 0)."""
 
     __slots__ = ()
+    value = 0.0
 
     def inc(self, value: float = 1.0) -> None:
         pass

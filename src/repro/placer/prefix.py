@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import kernels
-from ..rsmt import batch as rsmt_batch
 
 #: Byte ceiling of a store; a trajectory that would pass it is not kept.
 STORE_MAX_BYTES = 64 << 20
@@ -106,13 +105,11 @@ os.register_at_fork(after_in_child=_STORE._after_fork)
 @contextmanager
 def reuse(store: PrefixStore | None = None):
     """Let global placements in this context record and replay prefixes
-    through ``store`` (default: the process's store), and share RSMTs by
-    shape through the process's :class:`repro.rsmt.batch.TreeMemo`."""
+    through ``store`` (default: the process's store)."""
     store = _STORE if store is None else store
     token = _ACTIVE.set(store)
     try:
-        with rsmt_batch.reuse():
-            yield store
+        yield store
     finally:
         _ACTIVE.reset(token)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..netlist.design import Design
-from ..rsmt.batch import gcell_rsmt_batch, net_gcells
+from ..rsmt.batch import TopologyBatch, gcell_rsmt_batch, net_gcells
 from .cost import CostModel, CostParams
 from .grid import DemandMaps, RoutingGrid, build_grid
 from .maze import MazeMemo, maze_route
@@ -135,6 +135,20 @@ def pin_flat_indices(design: Design, grid: RoutingGrid) -> np.ndarray:
     return (gx * grid.ny + gy).astype(np.int64)
 
 
+def net_topologies(design: Design, grid: RoutingGrid, nets: np.ndarray) -> TopologyBatch:
+    """RSMTs of the ``nets`` spanning two or more Gcells, in one batch
+    (``batch.net`` holds positions in ``nets``).  Nets within one Gcell
+    are local and get no tree."""
+    # Dedup each net's pin Gcells and build every RSMT in one dispatch
+    # to the active kernel backend.
+    ustart, ucell = net_gcells(
+        pin_flat_indices(design, grid), design.net_start, design.net_pins,
+        nets, grid.nx * grid.ny,
+    )
+    eligible = np.flatnonzero(np.diff(ustart) >= 2)
+    return gcell_rsmt_batch(ustart, ucell, eligible, grid.ny)
+
+
 def build_net_segments(
     design: Design, grid: RoutingGrid, nets=None
 ) -> tuple:
@@ -151,14 +165,7 @@ def build_net_segments(
         net_ids = np.arange(design.num_nets, dtype=np.int64)
     else:
         net_ids = np.asarray(list(nets), dtype=np.int64)
-    # Dedup each net's pin Gcells and build every RSMT in one dispatch
-    # to the active kernel backend.
-    ustart, ucell = net_gcells(
-        pin_flat_indices(design, grid), design.net_start, design.net_pins,
-        net_ids, grid.nx * grid.ny,
-    )
-    eligible = np.flatnonzero(np.diff(ustart) >= 2)
-    batch = gcell_rsmt_batch(ustart, ucell, eligible, grid.ny)
+    batch = net_topologies(design, grid, net_ids)
     a, b = batch.edges.T
     segments = list(zip(
         batch.gx[a].tolist(), batch.gy[a].tolist(),

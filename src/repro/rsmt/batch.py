@@ -11,9 +11,9 @@ The reference backend is the historical per-net loop, so
 ``REPRO_KERNELS=reference`` reproduces the old behavior exactly.
 Both callers go through :func:`net_gcells` (per-net Gcell dedup) and
 :func:`gcell_rsmt_batch` (trees packed as one :class:`TopologyBatch`).
-Strategy trials place one design many times, so inside :func:`reuse`
-(entered by :func:`repro.placer.prefix.reuse`) trees are shared by shape
-through a bounded per-process :class:`TreeMemo`.
+Padding rounds, strategy trials and the router rebuild mostly the same
+nets, so every tree is shared by shape through one bounded per-process
+:class:`TreeMemo`.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernels
+from .. import kernels, obs
 from .topology import Topology
 
 
@@ -77,17 +75,6 @@ class TopologyBatch:
     def __len__(self) -> int:
         return len(self.net)
 
-    def take(self, entries: np.ndarray) -> "TopologyBatch":
-        """Sub-batch of ``entries``, in that order, gathered by slices."""
-        ps, es = self.point_start, self.edge_start
-        point_start, points = csr_ranges(ps[entries], np.diff(ps)[entries])
-        edge_start, edges = csr_ranges(es[entries], np.diff(es)[entries])
-        shift = np.repeat(point_start[:-1] - ps[entries], np.diff(edge_start))
-        return TopologyBatch(
-            self.net[entries], point_start, self.gx[points], self.gy[points],
-            self.is_pin[points], edge_start, self.edges[edges] + shift[:, None],
-        )
-
 
 _NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 _EMPTY = Topology(np.zeros(0), np.zeros(0), np.zeros(0, bool), _NO_EDGES)
@@ -117,14 +104,15 @@ def net_gcells(pin_cell, net_start, net_pins, nets, span: int) -> tuple:
 def gcell_rsmt_batch(start, cells, rows, ny: int) -> TopologyBatch:
     """RSMTs of the ``rows`` of a CSR ``(start, cells)`` of per-net flat
     Gcell ids, packed as one :class:`TopologyBatch` (``net`` = ``rows``).
-    Every row holds at least one Gcell (both callers pass nets spanning
-    two or more).
+    Every row holds at least one Gcell (its one caller,
+    :func:`repro.router.router.net_topologies`, passes nets spanning two
+    or more).
 
     Each tree is built at its net's lower-left Gcell and moved back.
     Gcell coordinates are small integers, so Prim's distances, the
     Steiner medians and every tie-break commute with that translation:
-    it moves no bit, and inside :func:`reuse` it lets nets of the same
-    shape share one tree through the process's :class:`TreeMemo`.
+    it moves no bit, and it lets nets of the same shape share one tree
+    through the process's :class:`TreeMemo`.
     """
     start, gather = csr_ranges(start[rows], np.diff(start)[rows])
     counts = np.diff(start)
@@ -133,7 +121,7 @@ def gcell_rsmt_batch(start, cells, rows, ny: int) -> TopologyBatch:
     dx = gx - np.repeat(corner_x, counts)
     dy = gy - np.repeat(corner_y, counts)
     trees = [None] * len(rows)
-    memo = _ACTIVE.get()
+    memo = _MEMO
     fresh, keys = _recall(memo, trees, start, dx, dy)
     if len(fresh):
         sub_start, sub = csr_ranges(start[fresh], counts[fresh])
@@ -172,27 +160,21 @@ def _corner(coord: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 def _recall(memo, trees: list, start, dx, dy) -> tuple:
     """Fill ``trees`` from ``memo``; return the positions left to build
-    and the memo keys of those worth storing (by position)."""
-    if memo is None:
-        return np.arange(len(trees)), {}
-    big = np.flatnonzero(np.diff(start) >= MEMO_MIN_POINTS)
+    and their memo keys (by position)."""
     # (dx, dy) packed in one int64: Gcell coordinates stay below 2**31.
-    packed = dx << 32 | dy
+    packed = (dx << 32 | dy).tobytes()
     backend = kernels.current()
     keys = {}
-    for i, lo, hi in zip(big.tolist(), start[big].tolist(), start[big + 1].tolist()):
-        key = (backend, packed[lo:hi].tobytes())
+    for i, (lo, hi) in enumerate(zip(start[:-1].tolist(), start[1:].tolist())):
+        key = (backend, packed[8 * lo : 8 * hi])
         tree = memo.get(key)
         if tree is None:
             keys[i] = key
         else:
             trees[i] = tree
-    return np.array([i for i, t in enumerate(trees) if t is None], dtype=np.int64), keys
+    obs.counter("rsmt/memo_hits").inc(len(trees) - len(keys))
+    return np.fromiter(keys, dtype=np.int64, count=len(keys)), keys
 
-
-#: Smallest net (in distinct Gcells) whose tree the memo keeps: below it
-#: the vectorized backend builds trees in closed form.
-MEMO_MIN_POINTS = 4
 
 #: Byte ceiling of a memo (key bytes plus tree arrays, object headers
 #: included); once a tree would pass it, new shapes are not stored.
@@ -236,18 +218,6 @@ class TreeMemo:
         self._lock = threading.Lock()
 
 
-#: The process's memo, shared by every :func:`reuse` block.
+#: The process's memo, shared by every caller of :func:`gcell_rsmt_batch`.
 _MEMO = TreeMemo()
-_ACTIVE: ContextVar = ContextVar("repro_rsmt_memo", default=None)
 os.register_at_fork(after_in_child=_MEMO._after_fork)
-
-
-@contextmanager
-def reuse(memo: TreeMemo | None = None):
-    """Let :func:`gcell_rsmt_batch` in this context look trees up in and
-    add them to ``memo`` (default: the process's memo)."""
-    token = _ACTIVE.set(_MEMO if memo is None else memo)
-    try:
-        yield _ACTIVE.get()
-    finally:
-        _ACTIVE.reset(token)

@@ -6,7 +6,7 @@ import pytest
 
 from repro import api, obs
 from repro.core import PufferResult, StrategyParams
-from repro.evalkit import default_flows, place_puffer, run_benchmark
+from repro.evalkit import run_benchmark
 from repro.evalkit.runner import SuiteRunConfig, _default_flow_cell
 
 
@@ -93,19 +93,9 @@ class TestRun:
 
 
 class TestLegacyWrappersDelegate:
-    def test_place_puffer_still_works(self):
-        from repro.benchgen import make_design
-
-        design = make_design("OR1200", scale=0.002)
-        result = place_puffer(design)
-        assert isinstance(result, PufferResult)
-
-    def test_default_flows_are_table2_columns(self):
-        assert tuple(default_flows()) == api.TABLE2_COLUMNS
-
     def test_run_benchmark_returns_metrics_row(self):
         config = SuiteRunConfig(scale=0.002)
-        flow = default_flows()["PUFFER"]
+        flow = api.table2_flows()["PUFFER"]
         row = run_benchmark("OR1200", flow, config, "PUFFER")
         assert row.benchmark == "OR1200"
         assert row.placer == "PUFFER"

@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.capacity import CapacityModel
 from repro.netlist import DesignBuilder, Rect, Technology
 from repro.router import GlobalRouter, build_grid
+from repro.rsmt import batch as rsmt_batch
 
 
 def two_pin_design(ax, ay, bx, by, die=160.0):
@@ -70,36 +71,29 @@ class TestDemand:
         result = accumulate_demand(d, grid, topos, pin_penalty=0.1)
         assert result.dmd_h.sum() == pytest.approx(0.2)  # two pins
 
-    def test_topology_cache_matches_cold_build(self, small_design):
-        grid = build_grid(small_design)
-        cache = {}
-        build_topologies(small_design, grid, cache=cache)
+    def test_rounds_equal_with_memo_cold_and_warm(self, small_design, monkeypatch):
+        # Padding rounds move a few cells between estimates; trees taken
+        # from the warm memo must equal a cold build field by field.
+        estimator = CongestionEstimator(small_design)
+        grid = estimator.grid
+        monkeypatch.setattr(rsmt_batch, "_MEMO", rsmt_batch.TreeMemo())
         rng = np.random.default_rng(7)
-        moved = rng.choice(np.flatnonzero(small_design.movable), 25, replace=False)
         die = small_design.die
-        small_design.x[moved] = rng.uniform(die.xlo, die.xhi, len(moved))
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
-            warm = build_topologies(small_design, grid, cache=cache)
-        cold = build_topologies(small_design, grid)
-        (record,) = [r for r in tracer.ring if r["name"] == "congestion/topologies"]
-        assert 0 < record["attrs"]["cached"] < len(warm)
-        for f in fields(cold):
-            np.testing.assert_array_equal(getattr(warm, f.name), getattr(cold, f.name))
-
-    def test_topology_memo_outlives_a_local_round(self):
-        # A net that collapses into one Gcell for a round and then moves
-        # back reuses the tree built before the collapse.
-        d = two_pin_design(24, 72, 88, 72)
-        grid = build_grid(d)
-        cache = {}
-        tracer = obs.Tracer()
-        with obs.tracing(tracer):
-            for x in (88, 25, 88):
-                d.x[1] = x
-                build_topologies(d, grid, cache=cache)
-        records = [r["attrs"] for r in tracer.ring if r["name"] == "congestion/topologies"]
-        assert [(r["nets"], r["cached"]) for r in records] == [(1, 0), (0, 0), (1, 1)]
+        cached = []
+        for _ in range(3):
+            tracer = obs.Tracer()
+            with obs.tracing(tracer):
+                _, warm, _ = estimator.estimate()
+            (record,) = [r for r in tracer.ring if r["name"] == "congestion/topologies"]
+            cached.append(record["attrs"]["cached"])
+            with monkeypatch.context() as cold_memo:
+                cold_memo.setattr(rsmt_batch, "_MEMO", rsmt_batch.TreeMemo(max_bytes=0))
+                cold = build_topologies(small_design, grid)
+            for f in fields(cold):
+                np.testing.assert_array_equal(getattr(warm, f.name), getattr(cold, f.name))
+            moved = rng.choice(np.flatnonzero(small_design.movable), 25, replace=False)
+            small_design.x[moved] = rng.uniform(die.xlo, die.xhi, len(moved))
+        assert 0 < cached[1] < len(warm) and cached[2] > 0
 
     def test_pin_count_map(self, placed_small_design):
         grid = build_grid(placed_small_design)

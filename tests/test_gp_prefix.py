@@ -8,7 +8,8 @@ legal widths and the route report — when the new trigger falls inside
 the record (cut), after it (extend), and for every flow.  The matrix at
 the end runs one request through each execution mode, store cold and
 warm, the tree memo of :mod:`repro.rsmt.batch` with it: its route
-report must not move either.
+report must not move either.  One memo shared by runs under both kernel
+backends must not move any of them.
 """
 
 import asyncio
@@ -327,3 +328,27 @@ class TestDeterminismMatrix:
             assert store.nbytes > 0 and len(memo) > 0  # the later runs were warm
         for summary in summaries:
             assert self.untimed(summary) == reference
+
+    def test_backends_share_one_memo(self, monkeypatch):
+        """Vectorized, reference, then vectorized again in one process
+        against one tree memo: each run equals a cold run of its backend."""
+        def run(backend):
+            with kernels.using(backend):
+                return self.untimed(
+                    api.run("OR1200", config=self.CONFIG, route=True).to_summary()
+                )
+
+        cold = {}
+        for backend in kernels.BACKENDS:
+            monkeypatch.setattr(rsmt_batch, "_MEMO", rsmt_batch.TreeMemo())
+            cold[backend] = run(backend)
+        memo = rsmt_batch.TreeMemo()
+        monkeypatch.setattr(rsmt_batch, "_MEMO", memo)
+        tracer = obs.Tracer()
+        for i, backend in enumerate(["vectorized", "reference", "vectorized"]):
+            with obs.tracing(tracer if i == 2 else None):
+                assert run(backend) == cold[backend]
+        assert {key[0] for key in memo._entries} == set(kernels.BACKENDS)
+        # The last run found every tree the first one stored.
+        topologies = [r["attrs"] for r in tracer.ring if r["name"] == "congestion/topologies"]
+        assert topologies and all(t["cached"] == t["nets"] for t in topologies)

@@ -73,13 +73,13 @@ class TestFullPipeline:
 
 class TestRunnerIntegration:
     def test_run_benchmark_row(self):
+        from repro.api import flow_puffer
         from repro.evalkit import SuiteRunConfig, run_benchmark
-        from repro.evalkit.runner import place_puffer
 
         config = SuiteRunConfig(
             scale=0.002, placement=PlacementParams(max_iters=300)
         )
-        row = run_benchmark("OR1200", lambda d, p: place_puffer(d, p), config, "PUFFER")
+        row = run_benchmark("OR1200", lambda d, p: flow_puffer(d, p), config, "PUFFER")
         assert row.benchmark == "OR1200"
         assert row.placer == "PUFFER"
         assert row.runtime > 0

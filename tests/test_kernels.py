@@ -26,6 +26,7 @@ from repro.placer.density import ElectrostaticDensity
 from repro.placer.params import PlacementParams
 from repro.router.grid import build_grid
 from repro.router.maze import maze_route
+from repro.rsmt.batch import gcell_rsmt_batch
 
 MAPS_TOL = dict(rtol=1e-9, atol=1e-9)
 
@@ -219,7 +220,8 @@ class TestDemandEquivalence:
 
     def test_no_topologies(self, tiny_design):
         grid = build_grid(tiny_design)
-        empty = build_topologies(tiny_design, grid).take(np.zeros(0, dtype=np.int64))
+        none = np.zeros(0, dtype=np.int64)
+        empty = gcell_rsmt_batch(np.zeros(1, dtype=np.int64), none, none, grid.ny)
         ref, vec = both_backends(
             lambda: accumulate_demand(tiny_design, grid, empty)
         )

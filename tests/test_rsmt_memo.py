@@ -3,8 +3,10 @@
 :mod:`repro.rsmt.steiner` keeps each vertex's best median insertion
 between passes; ``rsmt_oracle`` rescans every vertex every pass.  Trees
 must match in points, pin flags, edges and dtypes, under both kernel
-backends.  :class:`repro.rsmt.batch.TreeMemo` shares trees by shape
-inside ``reuse()``: a hit must equal a fresh build.
+backends.  :class:`repro.rsmt.batch.TreeMemo` shares trees by shape in
+every caller: a hit must equal a fresh build.  Tests swap in their own
+memo for the process's ``batch._MEMO``; a memo of zero bytes stores
+nothing, so every batch through it is a fresh build.
 """
 
 import sys
@@ -15,8 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.placer import prefix
+from repro import api, kernels, obs
+from repro.benchgen import make_design
+from repro.eco import EcoSession, ResizeCell
+from repro.router import GlobalRouter
 from repro.rsmt import batch, build_rsmt
 from repro.rsmt.batch import TreeMemo, build_rsmt_batch, gcell_rsmt_batch
 
@@ -88,6 +92,26 @@ def gcell_nets(seed, nets=40, nx=12, ny=9, shapes=None):
 
 
 @pytest.fixture
+def use_memo(monkeypatch):
+    """Install a memo as the process's for the rest of the test."""
+    def use(memo: TreeMemo) -> TreeMemo:
+        monkeypatch.setattr(batch, "_MEMO", memo)
+        return memo
+
+    return use
+
+
+@pytest.fixture
+def fresh(use_memo):
+    """``gcell_rsmt_batch`` through a memo that stores nothing."""
+    def build(*args):
+        use_memo(TreeMemo(max_bytes=0))
+        return gcell_rsmt_batch(*args)
+
+    return build
+
+
+@pytest.fixture
 def built_degrees(monkeypatch):
     """Sizes of the point sets every ``steiner_batch`` call builds."""
     seen = []
@@ -102,44 +126,42 @@ def built_degrees(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", kernels.BACKENDS)
-def test_hits_equal_fresh_builds(backend, built_degrees):
+def test_hits_equal_fresh_builds(backend, built_degrees, fresh, use_memo):
     shapes = [np.array(s) for s in (
         [[0, 0], [2, 1], [1, 3], [3, 3]],
         [[0, 2], [1, 0], [2, 2], [4, 1], [4, 4], [0, 4]],
         [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]],
     )]
     args = gcell_nets(3, nets=30, shapes=shapes)
-    memo = TreeMemo()
     with kernels.using(backend):
-        fresh = gcell_rsmt_batch(*args)
+        want = fresh(*args)
         built_degrees.clear()
-        with batch.reuse(memo):
-            cold = gcell_rsmt_batch(*args)
-            assert len(built_degrees) == 30  # the memo fills after a batch
-            built_degrees.clear()
-            warm = gcell_rsmt_batch(*args)
+        memo = use_memo(TreeMemo())
+        cold = gcell_rsmt_batch(*args)
+        assert len(built_degrees) == 30  # the memo fills after a batch
+        built_degrees.clear()
+        warm = gcell_rsmt_batch(*args)
     assert built_degrees == []  # three shapes at thirty corners
     assert len(memo) == 3
-    assert_same_arrays(cold, fresh, BATCH_FIELDS)
-    assert_same_arrays(warm, fresh, BATCH_FIELDS)
+    assert_same_arrays(cold, want, BATCH_FIELDS)
+    assert_same_arrays(warm, want, BATCH_FIELDS)
 
 
-def test_random_nets_hit_and_miss_exactly():
+def test_random_nets_hit_and_miss_exactly(fresh, use_memo):
     memo = TreeMemo()
     for seed in range(4):
         args = gcell_nets(seed, nets=60)
-        fresh = gcell_rsmt_batch(*args)
-        with batch.reuse(memo):
-            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
-            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
-    # Nets below MEMO_MIN_POINTS are never stored.
-    assert all(len(key[1]) >= 8 * batch.MEMO_MIN_POINTS for key in memo._entries)
+        want = fresh(*args)
+        use_memo(memo)
+        assert_same_arrays(gcell_rsmt_batch(*args), want, BATCH_FIELDS)
+        assert_same_arrays(gcell_rsmt_batch(*args), want, BATCH_FIELDS)
+    # Every net is stored, two-Gcell ones included (one int64 per point).
+    assert min(len(key[1]) for key in memo._entries) == 2 * 8
 
 
-def test_stored_arrays_are_read_only():
-    memo = TreeMemo()
-    with batch.reuse(memo):
-        gcell_rsmt_batch(*gcell_nets(1))
+def test_stored_arrays_are_read_only(use_memo):
+    memo = use_memo(TreeMemo())
+    gcell_rsmt_batch(*gcell_nets(1))
     assert len(memo)
     for key in memo._entries:
         tree = memo.get(key)
@@ -150,42 +172,62 @@ def test_stored_arrays_are_read_only():
                 array[...] = 0
 
 
-def test_backend_is_part_of_the_key(built_degrees):
-    memo = TreeMemo()
+def test_backend_is_part_of_the_key(built_degrees, use_memo):
+    memo = use_memo(TreeMemo())
     args = gcell_nets(2)
-    with batch.reuse(memo):
-        with kernels.using("vectorized"):
-            gcell_rsmt_batch(*args)
-        stored = len(memo)
-        built_degrees.clear()
-        with kernels.using("reference"):
-            gcell_rsmt_batch(*args)
+    with kernels.using("vectorized"):
+        gcell_rsmt_batch(*args)
+    stored = len(memo)
+    built_degrees.clear()
+    with kernels.using("reference"):
+        gcell_rsmt_batch(*args)
     assert stored and len(memo) == 2 * stored
-    assert sum(d >= batch.MEMO_MIN_POINTS for d in built_degrees) == stored
+    assert len(built_degrees) == len(args[2])  # every net missed
     assert {key[0] for key in memo._entries} == set(kernels.BACKENDS)
 
 
-def test_inactive_outside_reuse(monkeypatch):
-    memo = TreeMemo()
-    monkeypatch.setattr(batch, "_MEMO", memo)
-    args = gcell_nets(5)
-    gcell_rsmt_batch(*args)
-    assert len(memo) == 0 and memo.nbytes == 0
-    with prefix.reuse(prefix.PrefixStore()):  # the GP prefix scope enters it
-        gcell_rsmt_batch(*args)
-    stored = len(memo)
-    assert stored > 0
-    gcell_rsmt_batch(*gcell_nets(6))
-    assert len(memo) == stored
+def memo_hits(tracer) -> float:
+    return tracer.metrics().get("rsmt/memo_hits", {}).get("value", 0.0)
 
 
-def test_byte_ceiling_holds():
+def test_active_in_every_caller(use_memo, built_degrees):
+    """A plain placement, the router and an ECO delta each store trees
+    and take later ones from the memo, with no scope to enter."""
+    config = api.RunConfig(scale=0.0015)
+    design = make_design("OR1200", config.scale)
+    memo = use_memo(TreeMemo())
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        api.run(design, config=config)
+    assert len(memo) > 0 and memo_hits(tracer) > 0  # padding rounds repeat shapes
+
+    memo = use_memo(TreeMemo())
+    GlobalRouter(design).run()
+    assert len(memo) > 0
+    built_degrees.clear()
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        GlobalRouter(design).run()
+    assert built_degrees == [] and memo_hits(tracer) > 0  # every tree a hit
+
+    session = EcoSession("OR1200", config=config)
+    memo = use_memo(TreeMemo())
+    session.start()
+    assert len(memo) > 0
+    cell = int(np.flatnonzero(session.design.movable & ~session.design.is_macro)[0])
+    tracer = obs.Tracer()
+    with obs.tracing(tracer):
+        session.apply(ResizeCell(cell=cell, width=float(session.design.w[cell]) + 3.0))
+    assert memo_hits(tracer) > 0
+
+
+def test_byte_ceiling_holds(fresh, use_memo):
     memo = TreeMemo(max_bytes=3000)
     for seed in range(5):
         args = gcell_nets(seed, nets=50)
-        fresh = gcell_rsmt_batch(*args)
-        with batch.reuse(memo):
-            assert_same_arrays(gcell_rsmt_batch(*args), fresh, BATCH_FIELDS)
+        want = fresh(*args)
+        use_memo(memo)
+        assert_same_arrays(gcell_rsmt_batch(*args), want, BATCH_FIELDS)
         assert memo.nbytes <= memo.max_bytes
     assert 0 < len(memo) and memo.nbytes > memo.max_bytes // 2
     size = memo.nbytes
@@ -193,22 +235,21 @@ def test_byte_ceiling_holds():
     assert memo.nbytes == size
 
 
-def test_concurrent_batches_keep_exact_bytes():
+def test_concurrent_batches_keep_exact_bytes(fresh, use_memo):
     # Thread-mode service workers share the process's memo.
-    memo = TreeMemo()
     cases = [gcell_nets(seed, nets=30) for seed in range(4)]
-    fresh = [gcell_rsmt_batch(*args) for args in cases]
+    want = [fresh(*args) for args in cases]
+    memo = use_memo(TreeMemo())
     failures = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def worker(offset):
-            with batch.reuse(memo):
-                for i in [offset, *range(len(cases))]:
-                    got = gcell_rsmt_batch(*cases[i])
-                    if any(not np.array_equal(getattr(got, f), getattr(fresh[i], f))
-                           for f in BATCH_FIELDS):
-                        failures.append(i)
+            for i in [offset, *range(len(cases))]:
+                got = gcell_rsmt_batch(*cases[i])
+                if any(not np.array_equal(getattr(got, f), getattr(want[i], f))
+                       for f in BATCH_FIELDS):
+                    failures.append(i)
 
         threads = [threading.Thread(target=worker, args=(i % 4,)) for i in range(8)]
         for thread in threads:

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import api
 from repro.baselines import place_replace_like, place_wirelength_driven
 from repro.benchgen import make_design
 from repro.evalkit import SuiteRunConfig, run_suite
-from repro.evalkit.runner import default_flows, suite_cell_key
+from repro.evalkit.runner import suite_cell_key
 from repro.router import GlobalRouter
 from repro.runtime import Journal, Telemetry
 
@@ -34,7 +35,7 @@ class TestSerialDeterminism:
         benchmark-major iteration, fresh design per cell, route, score."""
         legacy = []
         for name in config.benchmarks:
-            for flow_name, flow in default_flows().items():
+            for flow_name, flow in api.table2_flows().items():
                 design = make_design(name, config.scale, seed=config.seed)
                 flow(design, config.placement)
                 report = GlobalRouter(design, config.router).run()
