@@ -1,9 +1,10 @@
 """Microbenchmarks of the :mod:`repro.kernels` hot paths.
 
-Times each kernel's vectorized backend against the retained reference
-loops on synthetic inputs sized like a large placement (config in the
-report), verifies the two backends agree while doing so, and writes
-seconds + speedups to ``benchmarks/out/BENCH_kernels.json``.
+Times each kernel against its loop in ``tests/kernels_oracle.py`` on
+synthetic inputs sized like a large placement (config in the report),
+verifies the two agree while doing so, and writes seconds + speedups to
+``benchmarks/out/BENCH_kernels.json`` (``*_reference_seconds`` is the
+loop, ``*_vectorized_seconds`` the kernel).
 
 The tentpole acceptance bar (gated by ``check_regression.py``) is a
 >= 3x speedup on:
@@ -31,11 +32,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 
 import numpy as np
 
-from repro.kernels import reference, vectorized
+from repro import kernels as vectorized
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from tests import kernels_oracle as reference
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -68,7 +73,7 @@ def best_of(fn, repeats: int) -> float:
 
 def check_close(a, b, what: str) -> None:
     if not np.allclose(a, b, rtol=1e-9, atol=1e-9):
-        raise AssertionError(f"{what}: backends disagree (max |d| = {abs(a - b).max()})")
+        raise AssertionError(f"{what}: kernel and loop disagree (max |d| = {abs(a - b).max()})")
 
 
 def bench_demand(cfg, repeats):
@@ -265,7 +270,7 @@ def bench_steiner(cfg, repeats):
     ):
         for a, b in zip(ref_t, vec_t):
             if not np.array_equal(a, b):
-                raise AssertionError("steiner: backends disagree")
+                raise AssertionError("steiner: kernel and loop disagree")
     return (
         best_of(lambda: reference.steiner_batch(x, y, start, 64), max(repeats // 2, 1)),
         best_of(lambda: vectorized.steiner_batch(x, y, start, 64), repeats),

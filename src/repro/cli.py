@@ -12,8 +12,6 @@ Commands:
 * ``explore``   — run the strategy exploration on a small design.
 * ``suite``     — the Table-II comparison across the benchmark suite.
 * ``report``    — summarize a :mod:`repro.obs` trace file.
-* ``verify``    — invariant checkers + cross-backend differential
-  harness (:mod:`repro.verify`); ``--quick`` is the CI smoke mode.
 * ``serve``     — boot the async placement job server (:mod:`repro.serve`);
   ``--shards N`` runs placements on worker process shards and
   ``--client-weight`` tunes the fair queue.
@@ -42,7 +40,7 @@ import functools
 import json
 import sys
 
-from . import api, kernels
+from . import api
 from .benchgen import make_design, suite_names
 from .netlist import load_design, save_design
 from .placer import PlacementParams
@@ -261,21 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     eco_close = eco_sub.add_parser("close", help="close a session (GC its state)")
     eco_close.add_argument("session")
     _add_server_args(eco_close)
-
-    verify = sub.add_parser(
-        "verify", help="invariant + cross-backend differential verification"
-    )
-    verify.add_argument("--design", default="OR1200", choices=suite_names())
-    verify.add_argument("--scale", type=float, default=0.004)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: smaller design, fewer placer iterations",
-    )
-    verify.add_argument(
-        "--out", help="write the machine-readable JSON report to this path"
-    )
-    _add_runtime_args(verify, jobs=False)
     return parser
 
 
@@ -290,11 +273,6 @@ def _add_runtime_args(parser, jobs: bool = True, verify: bool = False) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="stream a repro.obs JSONL trace of the run to PATH",
-    )
-    parser.add_argument(
-        "--kernels", default=None, choices=list(kernels.BACKENDS),
-        help="numpy kernel backend for the hot paths "
-        f"(default: ${kernels.ENV_VAR} or 'vectorized')",
     )
     if verify:
         parser.add_argument(
@@ -591,24 +569,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    from . import obs
-    from .verify import run_differential
-
-    with obs.tracing(args.trace):
-        report = run_differential(
-            design=args.design,
-            scale=args.scale,
-            seed=args.seed,
-            quick=args.quick,
-        )
-    print(report.summary())
-    if args.out:
-        report.to_json(args.out)
-        print(f"wrote {args.out}")
-    return 0 if report.ok else 1
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -879,8 +839,6 @@ def _eco_close(client, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernels", None):
-        kernels.use(args.kernels)
     handlers = {
         "generate": cmd_generate,
         "ingest": cmd_ingest,
@@ -889,7 +847,6 @@ def main(argv=None) -> int:
         "explore": cmd_explore,
         "suite": cmd_suite,
         "report": cmd_report,
-        "verify": cmd_verify,
         "serve": cmd_serve,
         "submit": cmd_submit,
         "jobs": cmd_jobs,

@@ -129,5 +129,5 @@ def accumulate_demand(
         if pin_penalty > 0:
             dmd_h += pin_penalty * pin_count
             dmd_v += pin_penalty * pin_count
-        span.set(segments=len(i_segments), backend=kernels.current())
+        span.set(segments=len(i_segments))
     return DemandResult(dmd_h, dmd_v, pin_count, i_segments)

@@ -38,7 +38,7 @@ def rudy_maps(
     xlo, ylo, xhi, yhi = design.net_bboxes()
     degrees = design.net_degrees()
     nets = np.flatnonzero(degrees >= 2)
-    with obs.span("congestion/rudy", nets=len(nets)) as span:
+    with obs.span("congestion/rudy", nets=len(nets)):
         gx0, gy0 = grid.gcell_of(xlo[nets], ylo[nets])
         gx1, gy1 = grid.gcell_of(xhi[nets], yhi[nets])
         nx_cells = gx1 - gx0 + 1
@@ -57,7 +57,6 @@ def rudy_maps(
             pgx, pgy = grid.gcell_of(px, py)
             np.add.at(dmd_h, (pgx, pgy), pin_penalty)
             np.add.at(dmd_v, (pgx, pgy), pin_penalty)
-        span.set(backend=kernels.current())
     return dmd_h, dmd_v, grid
 
 

@@ -30,9 +30,8 @@ class _SegmentState:
     in ``e`` (total weight), ``q`` (weighted target sum), ``w`` (total
     width), ``x`` (clamped optimal start); only the first ``n`` entries
     are valid.  The array layout feeds :func:`repro.kernels.abacus_trial`
-    directly, so the hot trial-insertion scan runs on the active kernel
-    backend while the (once-per-cell) commit stays scalar and therefore
-    backend-independent.
+    directly, so the hot trial-insertion scan runs in the kernel while
+    the (once-per-cell) commit stays scalar.
     """
 
     __slots__ = ("segment", "n", "e", "q", "w", "x", "cells", "used")
@@ -187,8 +186,7 @@ def _commit_insert(state: _SegmentState, cell, width, weight, target_x) -> None:
     """Mutating Abacus AddCell / Collapse step.
 
     Runs once per placed cell (the trial scan already found the row), so
-    it stays a scalar loop over the cluster arrays — identical state on
-    every kernel backend.
+    it stays a scalar loop over the cluster arrays.
     """
     seg = state.segment
     state._reserve()

@@ -100,7 +100,7 @@ class ElectrostaticDensity:
         dim = self.dim
         if len(self._mov_idx) == 0:
             return np.zeros((dim, dim))
-        with obs.span("density/movable", cells=len(self._mov_idx)) as span:
+        with obs.span("density/movable", cells=len(self._mov_idx)):
             cx = _clamp(x[self._mov_idx], die.xlo, die.xhi)
             cy = _clamp(y[self._mov_idx], die.ylo, die.yhi)
             xlo = _clamp(cx - self._w_s / 2, die.xlo, die.xhi) - die.xlo
@@ -113,7 +113,6 @@ class ElectrostaticDensity:
                 xlo, xhi, ylo, yhi, ix0, iy0,
                 self._kx, self._ky, self._scale, dim, self.bin_w, self.bin_h,
             )
-            span.set(backend=kernels.current())
         return rho
 
     def _rasterize_fixed(self) -> np.ndarray:
@@ -124,7 +123,7 @@ class ElectrostaticDensity:
         fixed_idx = np.flatnonzero(~design.movable)
         if len(fixed_idx) == 0:
             return np.zeros((dim, dim))
-        with obs.span("density/fixed", cells=len(fixed_idx)) as span:
+        with obs.span("density/fixed", cells=len(fixed_idx)):
             hw = design.w[fixed_idx] / 2.0
             hh = design.h[fixed_idx] / 2.0
             # Die-relative clipped extents; drop objects fully outside.
@@ -137,7 +136,6 @@ class ElectrostaticDensity:
                 x0[keep], x1[keep], y0[keep], y1[keep],
                 dim, self.bin_w, self.bin_h,
             )
-            span.set(backend=kernels.current())
         return np.minimum(fixed, self.bin_area)
 
     # ------------------------------------------------------------------

@@ -6,8 +6,8 @@ decide whether to fire, and a hook that returns ``False`` changes
 nothing the placer reads (the hook contract of
 :class:`repro.placer.engine.GlobalPlacer`).  So every iteration up to
 and including the first one after which a hook fires is a function of
-the design, the engine parameters, the start-point choice and the
-kernel backend alone: :func:`key` hashes exactly those.
+the design, the engine parameters and the start-point choice alone:
+:func:`key` hashes exactly those.
 
 Inside :func:`reuse` the engine records that prefix on a miss and, on a
 hit, replays it bit for bit instead of recomputing it (see
@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .. import kernels
 
 #: Byte ceiling of a store; a trajectory that would pass it is not kept.
 STORE_MAX_BYTES = 64 << 20
@@ -127,7 +126,6 @@ def key(design, params, seed_positions: bool) -> bytes:
         "die": [die.xlo, die.ylo, die.xhi, die.yhi],
         "params": params.to_dict(),
         "seed_positions": bool(seed_positions),
-        "kernels": kernels.current(),
     }
     digest.update(json.dumps(meta, sort_keys=True).encode())
     for array in (

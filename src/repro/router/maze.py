@@ -7,10 +7,8 @@ movement direction and, on turns, additionally charge the corner Gcell in
 the new direction — consistent with the run-based accounting of
 :mod:`repro.router.pattern`.
 
-The search itself lives in :mod:`repro.kernels` (``maze_search``): the
-``"reference"`` backend is the historical A*, the ``"vectorized"``
-backend a batched label-correcting wavefront.  Both return the same
-charged-cell accounting at equal path cost.
+The search itself is :func:`repro.kernels.maze_search`, a batched
+label-correcting wavefront.
 
 A rip-up pass repeats many searches exactly: segments with the same
 endpoints are ripped in turn, and ripping a route and re-committing it
@@ -34,14 +32,14 @@ class MazeMemo:
     """Exact results of one pass's maze searches.
 
     An entry is keyed by everything the search reads besides the costs:
-    the endpoints, the clipped window, the grid shape (flat indices use
-    its ``ny``) and the active kernel backend.  It holds the window's
-    ``cost_h``/``cost_v`` bytes and the route (or ``None``) the search
-    returned for them, so a lookup whose window costs are bit-identical
-    returns exactly what a fresh search would.  A search with other
-    costs replaces the entry, so memory grows with the number of
-    distinct geometries only, up to :data:`MEMO_MAX_BYTES`.  Stored
-    route arrays are read-only: several routes may now share them.
+    the endpoints, the clipped window and the grid shape (flat indices
+    use its ``ny``).  It holds the window's ``cost_h``/``cost_v`` bytes
+    and the route (or ``None``) the search returned for them, so a
+    lookup whose window costs are bit-identical returns exactly what a
+    fresh search would.  A search with other costs replaces the entry,
+    so memory grows with the number of distinct geometries only, up to
+    :data:`MEMO_MAX_BYTES`.  Stored route arrays are read-only: several
+    routes may now share them.
     """
 
     __slots__ = ("entries", "nbytes")
@@ -52,10 +50,7 @@ class MazeMemo:
 
     def search(self, gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):
         """``kernels.maze_search`` with this memo in front of it."""
-        geometry = (
-            gx0, gy0, gx1, gy1, xlo, xhi, ylo, yhi, cost_h.shape,
-            kernels.current(),
-        )
+        geometry = (gx0, gy0, gx1, gy1, xlo, xhi, ylo, yhi, cost_h.shape)
         costs = (
             cost_h[xlo : xhi + 1, ylo : yhi + 1].tobytes()
             + cost_v[xlo : xhi + 1, ylo : yhi + 1].tobytes()

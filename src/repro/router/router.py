@@ -139,8 +139,8 @@ def net_topologies(design: Design, grid: RoutingGrid, nets: np.ndarray) -> Topol
     """RSMTs of the ``nets`` spanning two or more Gcells, in one batch
     (``batch.net`` holds positions in ``nets``).  Nets within one Gcell
     are local and get no tree."""
-    # Dedup each net's pin Gcells and build every RSMT in one dispatch
-    # to the active kernel backend.
+    # Dedup each net's pin Gcells and build every RSMT in one kernel
+    # call.
     ustart, ucell = net_gcells(
         pin_flat_indices(design, grid), design.net_start, design.net_pins,
         nets, grid.nx * grid.ny,

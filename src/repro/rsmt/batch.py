@@ -3,17 +3,16 @@
 The congestion estimator and the evaluation router both decompose every
 net of the design per round; calling :func:`repro.rsmt.build_rsmt` in a
 Python loop makes tree construction the dominant cost of both.  This
-module packs all point sets into one CSR batch and dispatches to
-:func:`repro.kernels.steiner_batch`, whose vectorized backend groups
-nets by degree and runs Prim on whole ``(batch, n, n)`` tensors.
+module packs all point sets into one CSR batch and hands it to
+:func:`repro.kernels.steiner_batch`, which groups nets by degree and
+runs Prim on whole ``(batch, n, n)`` tensors; its trees equal
+:func:`repro.rsmt.build_rsmt` on each net.
 
-The reference backend is the historical per-net loop, so
-``REPRO_KERNELS=reference`` reproduces the old behavior exactly.
 Both callers go through :func:`net_gcells` (per-net Gcell dedup) and
 :func:`gcell_rsmt_batch` (trees packed as one :class:`TopologyBatch`).
 Padding rounds, strategy trials and the router rebuild mostly the same
 nets, so every tree is shared by shape through one bounded per-process
-:class:`TreeMemo`.
+:class:`TreeMemo`, and a batch builds each shape it misses once.
 """
 
 from __future__ import annotations
@@ -111,8 +110,8 @@ def gcell_rsmt_batch(start, cells, rows, ny: int) -> TopologyBatch:
     Each tree is built at its net's lower-left Gcell and moved back.
     Gcell coordinates are small integers, so Prim's distances, the
     Steiner medians and every tie-break commute with that translation:
-    it moves no bit, and it lets nets of the same shape share one tree
-    through the process's :class:`TreeMemo`.
+    it moves no bit, and it lets nets of the same shape share one tree,
+    within the batch and through the process's :class:`TreeMemo`.
     """
     start, gather = csr_ranges(start[rows], np.diff(start)[rows])
     counts = np.diff(start)
@@ -122,16 +121,20 @@ def gcell_rsmt_batch(start, cells, rows, ny: int) -> TopologyBatch:
     dy = gy - np.repeat(corner_y, counts)
     trees = [None] * len(rows)
     memo = _MEMO
-    fresh, keys = _recall(memo, trees, start, dx, dy)
-    if len(fresh):
-        sub_start, sub = csr_ranges(start[fresh], counts[fresh])
+    missing = _recall(memo, trees, start, dx, dy)
+    if missing:
+        first = np.fromiter(
+            (positions[0] for positions in missing.values()),
+            dtype=np.int64, count=len(missing),
+        )
+        sub_start, sub = csr_ranges(start[first], counts[first])
         built = build_rsmt_batch(
             dx[sub].astype(np.float64), dy[sub].astype(np.float64), sub_start
         )
-        for i, tree in zip(fresh.tolist(), built):
-            trees[i] = tree
-    for i, key in keys.items():
-        memo.put(key, trees[i])
+        for (key, positions), tree in zip(missing.items(), built):
+            memo.put(key, tree)
+            for i in positions:
+                trees[i] = tree
     point_start, _ = csr_ranges(0, [len(t.x) for t in trees])
     edge_start, _ = csr_ranges(0, [len(t.edges) for t in trees])
     # A leading empty tree keeps the concatenations typed when none is built.
@@ -158,22 +161,23 @@ def _corner(coord: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(coord, start[:-1])
 
 
-def _recall(memo, trees: list, start, dx, dy) -> tuple:
-    """Fill ``trees`` from ``memo``; return the positions left to build
-    and their memo keys (by position)."""
+def _recall(memo, trees: list, start, dx, dy) -> dict:
+    """Fill ``trees`` from ``memo``; return the memo keys left to build,
+    each with its positions in ascending order."""
     # (dx, dy) packed in one int64: Gcell coordinates stay below 2**31.
     packed = (dx << 32 | dy).tobytes()
-    backend = kernels.current()
-    keys = {}
+    missing = {}
+    hits = 0
     for i, (lo, hi) in enumerate(zip(start[:-1].tolist(), start[1:].tolist())):
-        key = (backend, packed[8 * lo : 8 * hi])
+        key = packed[8 * lo : 8 * hi]
         tree = memo.get(key)
         if tree is None:
-            keys[i] = key
+            missing.setdefault(key, []).append(i)
         else:
             trees[i] = tree
-    obs.counter("rsmt/memo_hits").inc(len(trees) - len(keys))
-    return np.fromiter(keys, dtype=np.int64, count=len(keys)), keys
+            hits += 1
+    obs.counter("rsmt/memo_hits").inc(hits)
+    return missing
 
 
 #: Byte ceiling of a memo (key bytes plus tree arrays, object headers
@@ -183,9 +187,9 @@ MEMO_MAX_BYTES = 8 << 20
 
 class TreeMemo:
     """Trees by shape, as :func:`gcell_rsmt_batch` builds them: keyed by
-    the kernel backend and a net's Gcell points translated to their
-    lower-left corner, so a hit is exactly the tree a fresh build
-    returns.  Thread-safe; stored arrays are read-only."""
+    a net's Gcell points translated to their lower-left corner (packed
+    bytes), so a hit is exactly the tree a fresh build returns.
+    Thread-safe; stored arrays are read-only."""
 
     def __init__(self, max_bytes: int = MEMO_MAX_BYTES) -> None:
         self.max_bytes = max_bytes
@@ -203,7 +207,7 @@ class TreeMemo:
         """Keep a copy of ``tree`` under ``key`` unless the key is known
         or the copy would pass :attr:`max_bytes`."""
         arrays = [np.array(a) for a in (tree.x, tree.y, tree.is_pin, tree.edges)]
-        size = sys.getsizeof(key[1]) + sum(map(sys.getsizeof, arrays))
+        size = sys.getsizeof(key) + sum(map(sys.getsizeof, arrays))
         with self._lock:
             if key in self._entries or self.nbytes + size > self.max_bytes:
                 return False

@@ -1,24 +1,17 @@
-"""Correctness tooling: invariant checkers + cross-backend differential
-harness.
+"""Correctness tooling: invariant checkers.
 
 PUFFER's quality claims rest on properties the rest of the code only
 assumes: legalized placements are overlap-free, row/site-aligned, and
 inside the die; discrete padding respects the area budget; netlists are
-structurally sound; routing accounting is self-consistent; and the
-vectorized kernels stay equivalent to the reference loops.  This package
-makes every one of those properties *checkable*:
-
-* :func:`run_checkers` drives the checker registry over a
-  :class:`VerifyContext` and returns a :class:`VerifyReport` of
-  structured :class:`Violation` records — no raising, no string parsing.
-* :func:`run_differential` runs the same generated design through both
-  kernel backends (map stages, the router, and the placer → legalizer
-  flow) and diffs the outputs within stated tolerances.
+structurally sound; and routing accounting is self-consistent.  This
+package makes every one of those properties *checkable*:
+:func:`run_checkers` drives the checker registry over a
+:class:`VerifyContext` and returns a :class:`VerifyReport` of
+structured :class:`Violation` records — no raising, no string parsing.
 
 Entry points: ``RunConfig(verify="cheap"|"full")`` on the
-:mod:`repro.api` facade, ``--verify`` on the CLI run commands, and the
-``repro verify`` subcommand for the differential harness.  Checkers run
-under ``verify/*`` observability spans and bump the
+:mod:`repro.api` facade and ``--verify`` on the CLI run commands.
+Checkers run under ``verify/*`` observability spans and bump the
 ``verify/violations`` counter.
 """
 
@@ -36,15 +29,6 @@ from .checkers import (
     checkers_for,
     run_checkers,
 )
-from .differential import (
-    BACKENDS,
-    DiffCase,
-    DiffReport,
-    diff_flow,
-    diff_maps,
-    diff_route,
-    run_differential,
-)
 from .violations import (
     SEVERITIES,
     VerificationError,
@@ -53,10 +37,7 @@ from .violations import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CHECKERS",
-    "DiffCase",
-    "DiffReport",
     "LEVELS",
     "SEVERITIES",
     "VerificationError",
@@ -71,9 +52,5 @@ __all__ = [
     "check_row_alignment",
     "check_site_alignment",
     "checkers_for",
-    "diff_flow",
-    "diff_maps",
-    "diff_route",
     "run_checkers",
-    "run_differential",
 ]

@@ -1,6 +1,6 @@
 """Loop-level reference code of the router's hot paths.
 
-This is the arithmetic the faster forms in :mod:`repro.kernels.vectorized`
+This is the arithmetic the faster forms in :mod:`repro.kernels`
 and :mod:`repro.router.router` must reproduce exactly: the maze wavefront
 with Jacobi sweeps (both halves of a sweep read the labels it started
 from), victim selection scoring every route in turn, the per-route numpy
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.vectorized import _backtrack
+from repro.kernels import _backtrack
 
 
 def maze_search_jacobi(gx0, gy0, gx1, gy1, cost_h, cost_v, xlo, xhi, ylo, yhi):

@@ -29,7 +29,6 @@ class TestParser:
             ["suite", "--scale", "0.002", "--designs", "OR1200", "--resume",
              "--trace", "/tmp/t.jsonl"],
             ["report", "/tmp/t.jsonl"],
-            ["verify", "--design", "OR1200", "--quick", "--out", "/tmp/d.json"],
             ["serve", "--port", "0", "--workers", "3", "--capacity", "5",
              "--cache-dir", "/tmp/c", "--trace", "/tmp/t.jsonl"],
             ["submit", "OR1200", "--scale", "0.002", "--route", "--wait",

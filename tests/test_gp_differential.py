@@ -3,7 +3,7 @@
 The stacked WA model, the one-solve density system and the demand
 expansion on Python floats must leave every PUFFER result bit for bit
 where the per-axis, per-grid, segment-by-segment evaluation in
-``gp_oracle`` left it.  Runs under either kernel backend.
+``gp_oracle`` left it.
 """
 
 import copy

@@ -8,8 +8,7 @@ legal widths and the route report — when the new trigger falls inside
 the record (cut), after it (extend), and for every flow.  The matrix at
 the end runs one request through each execution mode, store cold and
 warm, the tree memo of :mod:`repro.rsmt.batch` with it: its route
-report must not move either.  One memo shared by runs under both kernel
-backends must not move any of them.
+report must not move either.
 """
 
 import asyncio
@@ -22,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import api, kernels, obs
+from repro import api, obs
 from repro.baselines import place_replace_like, place_wirelength_driven
 from repro.benchgen import make_design
 from repro.core.puffer import PufferPlacer
@@ -63,9 +62,8 @@ def puffer_run(strategy: StrategyParams, store=None) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def cold(strategy_items: tuple, backend: str) -> dict:
-    with kernels.using(backend):
-        return puffer_run(StrategyParams.from_dict(dict(strategy_items)))
+def cold(strategy_items: tuple) -> dict:
+    return puffer_run(StrategyParams.from_dict(dict(strategy_items)))
 
 
 def assert_same(warm: dict, reference: dict) -> None:
@@ -80,7 +78,7 @@ def assert_same(warm: dict, reference: dict) -> None:
 
 
 def cold_run(strategy: StrategyParams) -> dict:
-    return cold(tuple(sorted(strategy.to_dict().items())), kernels.current())
+    return cold(tuple(sorted(strategy.to_dict().items())))
 
 
 def check_warm(strategy: StrategyParams, store) -> dict:
@@ -247,14 +245,9 @@ class TestStore:
         assert {k: len(store.get(k).steps) for k in longest} == longest
         assert store.nbytes == sum(store.get(k).nbytes for k in longest)
 
-    def test_backend_is_part_of_the_key(self):
+    def test_key_reads_design_start_point_and_params(self):
         design = make_design("OR1200", SCALE)
         params = PlacementParams()
-        with kernels.using("vectorized"):
-            vectorized = prefix.key(design, params, True)
-        with kernels.using("reference"):
-            reference = prefix.key(design, params, True)
-        assert vectorized != reference
         base = prefix.key(design, params, True)
         assert base == prefix.key(make_design("OR1200", SCALE), params, True)
         assert base != prefix.key(design, params, False)
@@ -329,26 +322,19 @@ class TestDeterminismMatrix:
         for summary in summaries:
             assert self.untimed(summary) == reference
 
-    def test_backends_share_one_memo(self, monkeypatch):
-        """Vectorized, reference, then vectorized again in one process
-        against one tree memo: each run equals a cold run of its backend."""
-        def run(backend):
-            with kernels.using(backend):
-                return self.untimed(
-                    api.run("OR1200", config=self.CONFIG, route=True).to_summary()
-                )
+    def test_warm_memo_serves_every_tree(self, reference, monkeypatch):
+        """Two runs in one process against one tree memo, cold then warm,
+        each equal to the plain run."""
+        def run():
+            return self.untimed(
+                api.run("OR1200", config=self.CONFIG, route=True).to_summary()
+            )
 
-        cold = {}
-        for backend in kernels.BACKENDS:
-            monkeypatch.setattr(rsmt_batch, "_MEMO", rsmt_batch.TreeMemo())
-            cold[backend] = run(backend)
-        memo = rsmt_batch.TreeMemo()
-        monkeypatch.setattr(rsmt_batch, "_MEMO", memo)
+        monkeypatch.setattr(rsmt_batch, "_MEMO", rsmt_batch.TreeMemo())
         tracer = obs.Tracer()
-        for i, backend in enumerate(["vectorized", "reference", "vectorized"]):
-            with obs.tracing(tracer if i == 2 else None):
-                assert run(backend) == cold[backend]
-        assert {key[0] for key in memo._entries} == set(kernels.BACKENDS)
-        # The last run found every tree the first one stored.
+        for i in range(2):
+            with obs.tracing(tracer if i == 1 else None):
+                assert run() == reference
+        # The second run found every tree the first one stored.
         topologies = [r["attrs"] for r in tracer.ring if r["name"] == "congestion/topologies"]
         assert topologies and all(t["cached"] == t["nets"] for t in topologies)

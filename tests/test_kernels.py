@@ -1,12 +1,13 @@
 """Golden-equivalence suite for :mod:`repro.kernels`.
 
-Every kernel is checked vectorized-vs-reference on randomized inputs —
-property-style: many seeded draws covering varying net degrees, designs
-with macros/blockages, empty and single-pin nets, cells clamped at the
-die boundary, and adversarial cost maps for the maze.  Tolerances: map
-kernels agree to ``allclose(rtol=1e-9, atol=1e-9)`` (the backends sum
-the same terms in different orders); the maze agrees on path *cost* to
-``1e-6`` relative (ties may break to a different equal-cost path).
+Every kernel is checked against its loop in ``kernels_oracle`` on
+randomized inputs — property-style: many seeded draws covering varying
+net degrees, designs with macros/blockages, empty and single-pin nets,
+cells clamped at the die boundary, and adversarial cost maps for the
+maze.  Tolerances: map kernels agree to ``allclose(rtol=1e-9,
+atol=1e-9)`` (kernel and loop sum the same terms in different orders);
+the maze agrees on path *cost* to ``1e-6`` relative (ties may break to
+a different equal-cost path).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.router.grid import build_grid
 from repro.router.maze import maze_route
 from repro.rsmt.batch import gcell_rsmt_batch
 
+from . import kernels_oracle
+
 MAPS_TOL = dict(rtol=1e-9, atol=1e-9)
 
 
@@ -37,57 +40,16 @@ def assert_segments_equal(a, b):
         np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
 
 
-def both_backends(fn):
-    """Evaluate ``fn()`` under each backend; returns (reference, vectorized)."""
-    with kernels.using("reference"):
+def oracle_vs_kernel(fn):
+    """Evaluate ``fn()`` with every oracle loop swapped in, then with the
+    kernels, each from empty memos; returns (oracle, kernels)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        kernels_oracle.swap_in(monkeypatch)
         ref = fn()
-    with kernels.using("vectorized"):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        kernels_oracle.fresh_memos(monkeypatch)
         vec = fn()
     return ref, vec
-
-
-# ----------------------------------------------------------------------
-# Dispatch layer
-# ----------------------------------------------------------------------
-
-
-class TestDispatch:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        assert kernels._from_env() == "vectorized"
-
-    def test_use_returns_previous_and_switches(self):
-        ambient = kernels.current()
-        previous = kernels.use("reference")
-        try:
-            assert previous == ambient
-            assert kernels.current() == "reference"
-        finally:
-            kernels.use(previous)
-
-    def test_using_restores_on_exit_and_error(self):
-        ambient = kernels.current()
-        other = "reference" if ambient == "vectorized" else "vectorized"
-        with kernels.using(other):
-            assert kernels.current() == other
-        assert kernels.current() == ambient
-        with pytest.raises(RuntimeError):
-            with kernels.using(other):
-                raise RuntimeError("boom")
-        assert kernels.current() == ambient
-
-    def test_unknown_backend_rejected(self):
-        ambient = kernels.current()
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.use("numba")
-        assert kernels.current() == ambient
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "reference")
-        assert kernels._from_env() == "reference"
-        monkeypatch.setenv(kernels.ENV_VAR, "bogus")
-        with pytest.warns(UserWarning, match="REPRO_KERNELS"):
-            assert kernels._from_env() == "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +68,7 @@ class TestRectAdd:
         y0 = rng.integers(0, ny, n)
         y1 = np.minimum(y0 + rng.integers(0, ny, n), ny - 1)
         w = rng.random(n) * 3.0
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.rect_add(nx, ny, x0, x1, y0, y1, w)
         )
         np.testing.assert_allclose(vec, ref, **MAPS_TOL)
@@ -120,7 +82,7 @@ class TestRectAdd:
         y0 = np.array([1, 0])
         y1 = np.array([1, 4])
         start = np.full((5, 5), 7.0)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.rect_add(5, 5, x0, x1, y0, y1, 0.5, out=start.copy())
         )
         np.testing.assert_allclose(vec, ref, **MAPS_TOL)
@@ -130,7 +92,7 @@ class TestRectAdd:
 
     def test_empty_batch(self):
         empty = np.zeros(0, dtype=np.int64)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.rect_add(4, 3, empty, empty, empty, empty, 1.0)
         )
         assert ref.shape == vec.shape == (4, 3)
@@ -141,7 +103,7 @@ class TestRectAdd:
         x1 = np.array([3, 7])
         y0 = np.array([2, 0])
         y1 = np.array([2, 7])
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.rect_add(8, 8, x0, x1, y0, y1, np.array([2.0, 1.0]))
         )
         np.testing.assert_allclose(vec, ref, **MAPS_TOL)
@@ -197,7 +159,7 @@ class TestDemandEquivalence:
         design = _random_design(seed)
         grid = build_grid(design)
         topologies = build_topologies(design, grid)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: accumulate_demand(design, grid, topologies)
         )
         np.testing.assert_allclose(vec.dmd_h, ref.dmd_h, **MAPS_TOL)
@@ -211,7 +173,7 @@ class TestDemandEquivalence:
         design = _degenerate_design()
         grid = build_grid(design)
         topologies = build_topologies(design, grid)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: accumulate_demand(design, grid, topologies)
         )
         np.testing.assert_allclose(vec.dmd_h, ref.dmd_h, **MAPS_TOL)
@@ -222,7 +184,7 @@ class TestDemandEquivalence:
         grid = build_grid(tiny_design)
         none = np.zeros(0, dtype=np.int64)
         empty = gcell_rsmt_batch(np.zeros(1, dtype=np.int64), none, none, grid.ny)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: accumulate_demand(tiny_design, grid, empty)
         )
         np.testing.assert_allclose(vec.dmd_h, ref.dmd_h, **MAPS_TOL)
@@ -233,22 +195,31 @@ class TestDemandEquivalence:
             cmap, _, _ = CongestionEstimator(small_design).estimate()
             return cmap
 
-        ref, vec = both_backends(estimate)
+        builds = []
+
+        def estimate_counting():
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                builds.append(kernels_oracle.count_tree_builds(monkeypatch))
+                return estimate()
+
+        ref, vec = oracle_vs_kernel(estimate_counting)
         np.testing.assert_allclose(vec.dmd_h, ref.dmd_h, **MAPS_TOL)
         np.testing.assert_allclose(vec.dmd_v, ref.dmd_v, **MAPS_TOL)
+        # Each side built its own trees: none came from the other's memo.
+        assert sum(builds[0]) > 0 and builds[0] == builds[1]
 
 
 class TestRudyEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_designs(self, seed):
         design = _random_design(seed)
-        ref, vec = both_backends(lambda: rudy_maps(design)[:2])
+        ref, vec = oracle_vs_kernel(lambda: rudy_maps(design)[:2])
         np.testing.assert_allclose(vec[0], ref[0], **MAPS_TOL)
         np.testing.assert_allclose(vec[1], ref[1], **MAPS_TOL)
 
     def test_degenerate_nets(self):
         design = _degenerate_design()
-        ref, vec = both_backends(lambda: rudy_maps(design)[:2])
+        ref, vec = oracle_vs_kernel(lambda: rudy_maps(design)[:2])
         np.testing.assert_allclose(vec[0], ref[0], **MAPS_TOL)
         np.testing.assert_allclose(vec[1], ref[1], **MAPS_TOL)
 
@@ -267,14 +238,13 @@ class TestDensityEquivalence:
             system = ElectrostaticDensity(design, PlacementParams())
             return system.fixed_map, system.movable_density(design.x, design.y)
 
-        (ref_fixed, ref_mov), (vec_fixed, vec_mov) = both_backends(build)
+        (ref_fixed, ref_mov), (vec_fixed, vec_mov) = oracle_vs_kernel(build)
         np.testing.assert_allclose(vec_fixed, ref_fixed, **MAPS_TOL)
         np.testing.assert_allclose(vec_mov, ref_mov, **MAPS_TOL)
 
     def test_boundary_clamped_cells(self, small_design):
-        """Cells pushed onto the die edges hit the reference's
-        boundary-bin re-accumulation; the vectorized backend must
-        reproduce it."""
+        """Cells pushed onto the die edges hit the loop's boundary-bin
+        re-accumulation; the kernel must reproduce it."""
         design = small_design
         system = ElectrostaticDensity(design, PlacementParams())
         mov = system.movable_indices
@@ -285,12 +255,12 @@ class TestDensityEquivalence:
         y[mov[len(mov) // 3 :]] = die.yhi
         x[mov[-3:]] = die.xlo
         y[mov[-3:]] = die.ylo
-        ref, vec = both_backends(lambda: system.movable_density(x, y))
+        ref, vec = oracle_vs_kernel(lambda: system.movable_density(x, y))
         np.testing.assert_allclose(vec, ref, **MAPS_TOL)
 
     def test_padded_sizes(self, small_design):
-        """set_sizes (PUFFER padding) changes the bin span; both
-        backends must track it."""
+        """set_sizes (PUFFER padding) changes the bin span; kernel and
+        loop must both track it."""
         design = small_design
         system = ElectrostaticDensity(design, PlacementParams())
         rng = np.random.default_rng(7)
@@ -298,7 +268,7 @@ class TestDensityEquivalence:
             design.w * (1.0 + rng.random(design.num_cells)),
             design.h.copy(),
         )
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: system.movable_density(design.x, design.y)
         )
         np.testing.assert_allclose(vec, ref, **MAPS_TOL)
@@ -319,7 +289,7 @@ class TestDensityEquivalence:
         x1 = np.minimum(x1, dim * bin_w)
         y0 = rng.uniform(0, dim * bin_h * 0.9, n)
         y1 = np.minimum(y0 + rng.uniform(0.01, dim * bin_h * 0.5, n), dim * bin_h)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.rect_area(x0, x1, y0, y1, dim, bin_w, bin_h)
         )
         np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=1e-12)
@@ -352,7 +322,7 @@ class TestMazeEquivalence:
             if (gx0, gy0) == (gx1, gy1):
                 continue
             margin = int(rng.integers(0, 5))
-            ref, vec = both_backends(
+            ref, vec = oracle_vs_kernel(
                 lambda: maze_route(gx0, gy0, gx1, gy1, cost_h, cost_v, margin)
             )
             assert (ref is None) == (vec is None)
@@ -369,25 +339,21 @@ class TestMazeEquivalence:
 
     def test_straight_paths_identical(self):
         cost = np.ones((10, 10))
-        for backend in kernels.BACKENDS:
-            with kernels.using(backend):
-                h, v = maze_route(1, 5, 8, 5, cost, cost, 2)
-                assert len(v) == 0
-                np.testing.assert_array_equal(
-                    h, np.arange(1, 9) * 10 + 5
-                )
-                h, v = maze_route(3, 2, 3, 7, cost, cost, 2)
-                assert len(h) == 0
-                np.testing.assert_array_equal(
-                    v, 3 * 10 + np.arange(2, 8)
-                )
+        for h, v in oracle_vs_kernel(lambda: maze_route(1, 5, 8, 5, cost, cost, 2)):
+            assert len(v) == 0
+            np.testing.assert_array_equal(
+                h, np.arange(1, 9) * 10 + 5
+            )
+        for h, v in oracle_vs_kernel(lambda: maze_route(3, 2, 3, 7, cost, cost, 2)):
+            assert len(h) == 0
+            np.testing.assert_array_equal(
+                v, 3 * 10 + np.arange(2, 8)
+            )
 
     def test_same_cell_route_is_empty(self):
         cost = np.ones((6, 6))
-        for backend in kernels.BACKENDS:
-            with kernels.using(backend):
-                h, v = maze_route(2, 2, 2, 2, cost, cost, 3)
-                assert len(h) == 0 and len(v) == 0
+        for h, v in oracle_vs_kernel(lambda: maze_route(2, 2, 2, 2, cost, cost, 3)):
+            assert len(h) == 0 and len(v) == 0
 
     def test_detour_around_wall(self):
         cost_h = np.ones((9, 9))
@@ -396,7 +362,7 @@ class TestMazeEquivalence:
         cost_v[4, :] = 1000.0
         cost_h[4, 8] = 1.0  # except at the top
         cost_v[4, 8] = 1.0
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: maze_route(0, 0, 8, 0, cost_h, cost_v, 8)
         )
         ref_cost = _route_cost(ref, cost_h, cost_v)
@@ -427,10 +393,14 @@ def _random_abacus_state(rng, n):
 
 
 class TestAbacusEquivalence:
+    """The oracle is the kernel's own scalar loop, which the kernel also
+    runs below ``_ABACUS_SCALAR_MAX`` clusters: only the suffix-scan path
+    is compared against an independent loop."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_rows(self, seed):
         """Exact (x_left, merges) agreement on random legal states, both
-        above and below the vectorized backend's scalar-fallback size."""
+        above and below the kernel's scalar-fallback size."""
         rng = np.random.default_rng(seed)
         checked_none = checked_some = 0
         for _ in range(60):
@@ -439,7 +409,7 @@ class TestAbacusEquivalence:
             width = float(rng.uniform(0.5, 6.0))
             weight = float(rng.uniform(0.1, 4.0))
             target = float(rng.uniform(xlo - 5.0, xhi + 5.0))
-            ref, vec = both_backends(
+            ref, vec = oracle_vs_kernel(
                 lambda: kernels.abacus_trial(
                     e, q, w, x, n, xlo, xhi, seg_width, width, weight, target
                 )
@@ -455,8 +425,8 @@ class TestAbacusEquivalence:
         assert checked_none > 0 and checked_some > 0
 
     def test_deep_merge_chain(self):
-        """A fully packed row collapses the whole chain; the suffix-scan
-        backend must stop at the same merge count."""
+        """A fully packed row collapses the whole chain; the suffix scan
+        must stop at the same merge count."""
         rng = np.random.default_rng(99)
         n = 50
         w = rng.uniform(1.0, 3.0, n)
@@ -464,7 +434,7 @@ class TestAbacusEquivalence:
         e = rng.uniform(0.5, 2.0, n)
         q = e * x
         xhi = float(x[-1] + w[-1] + 100.0)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.abacus_trial(
                 e, q, w, x, n, 0.0, xhi, xhi, 2.0, 1.0, 0.0
             )
@@ -478,7 +448,7 @@ class TestAbacusEquivalence:
         q = np.array([2.0])
         w = np.array([4.0])
         x = np.array([2.0])
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.abacus_trial(
                 e, q, w, x, 1, 0.0, 8.0, 8.0, 10.0, 1.0, 0.0
             )
@@ -487,7 +457,7 @@ class TestAbacusEquivalence:
 
     def test_empty_segment(self):
         z = np.zeros(0)
-        ref, vec = both_backends(
+        ref, vec = oracle_vs_kernel(
             lambda: kernels.abacus_trial(z, z, z, z, 0, 0.0, 10.0, 10.0, 2.0, 1.0, 3.5)
         )
         assert ref == vec == (3.5, 0)
@@ -516,7 +486,7 @@ class TestSteinerEquivalence:
         rng = np.random.default_rng(seed)
         for _ in range(40):
             x, y, start = _random_net_batch(rng)
-            ref, vec = both_backends(
+            ref, vec = oracle_vs_kernel(
                 lambda: kernels.steiner_batch(x, y, start, 64)
             )
             assert len(ref) == len(vec) == len(start) - 1
@@ -526,12 +496,12 @@ class TestSteinerEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_degree_cap_skips_steinerization(self, seed):
-        """Nets above max_degree take the plain-MST path in both
-        backends and still agree exactly."""
+        """Nets above max_degree take the plain-MST path in kernel and
+        loop, and still agree exactly."""
         rng = np.random.default_rng(seed)
         for _ in range(20):
             x, y, start = _random_net_batch(rng)
-            ref, vec = both_backends(
+            ref, vec = oracle_vs_kernel(
                 lambda: kernels.steiner_batch(x, y, start, 4)
             )
             for r, v in zip(ref, vec):
@@ -540,8 +510,8 @@ class TestSteinerEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_matches_single_net_builder(self, seed):
-        """build_rsmt_batch is a drop-in for per-net build_rsmt under
-        either backend."""
+        """build_rsmt_batch is a drop-in for per-net build_rsmt, with
+        the kernel and with the oracle loop."""
         from repro.rsmt import build_rsmt_batch
         from repro.rsmt.steiner import build_rsmt
 
@@ -551,24 +521,22 @@ class TestSteinerEquivalence:
         np.cumsum(degrees, out=start[1:])
         x = rng.integers(0, 30, start[-1]).astype(np.float64)
         y = rng.integers(0, 30, start[-1]).astype(np.float64)
-        for backend in kernels.BACKENDS:
-            with kernels.using(backend):
-                topologies = build_rsmt_batch(x, y, start)
-                for i, topo in enumerate(topologies):
-                    single = build_rsmt(
-                        x[start[i] : start[i + 1]], y[start[i] : start[i + 1]]
-                    )
-                    np.testing.assert_array_equal(topo.x, single.x)
-                    np.testing.assert_array_equal(topo.y, single.y)
-                    np.testing.assert_array_equal(topo.is_pin, single.is_pin)
-                    np.testing.assert_array_equal(topo.edges, single.edges)
+        for topologies in oracle_vs_kernel(lambda: build_rsmt_batch(x, y, start)):
+            for i, topo in enumerate(topologies):
+                single = build_rsmt(
+                    x[start[i] : start[i + 1]], y[start[i] : start[i + 1]]
+                )
+                np.testing.assert_array_equal(topo.x, single.x)
+                np.testing.assert_array_equal(topo.y, single.y)
+                np.testing.assert_array_equal(topo.is_pin, single.is_pin)
+                np.testing.assert_array_equal(topo.edges, single.edges)
 
     def test_trivial_degrees(self):
         """Degree-0/1/2 nets: no tree, no tree, one edge."""
         x = np.array([3.0, 5.0, 9.0])
         y = np.array([2.0, 7.0, 7.0])
         start = np.array([0, 0, 1, 3], dtype=np.int64)
-        ref, vec = both_backends(lambda: kernels.steiner_batch(x, y, start, 64))
+        ref, vec = oracle_vs_kernel(lambda: kernels.steiner_batch(x, y, start, 64))
         for out in (ref, vec):
             assert len(out[0][3]) == 0  # empty net: no edges
             assert len(out[1][3]) == 0  # single pin: no edges

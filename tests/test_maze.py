@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import vectorized
+from repro import kernels
 from repro.router import maze_route
 
 from .router_oracle import maze_search_jacobi
@@ -104,7 +104,7 @@ class TestGaussSeidelSweeps:
         ylo = max(min(gy0, gy1) - margin, 0)
         yhi = min(max(gy0, gy1) + margin, ny - 1)
         args = (gx0, gy0, gx1, gy1, ch, cv, xlo, xhi, ylo, yhi)
-        got = vectorized.maze_search(*args)
+        got = kernels.maze_search(*args)
         want = maze_search_jacobi(*args)
         assert (got is None) == (want is None)
         if want is not None:

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import api, kernels, obs
+from repro import api, obs
 from repro.eco import AddCell, EcoSession, RemoveCell, ResizeCell, nets_of_cells
 from repro.router import GlobalRouter, incremental, router
 from repro.router.maze import MazeMemo, maze_route
@@ -81,19 +81,6 @@ class TestMemoUnit:
             assert maze_route(0, 0, 3, 2, ch, cv, 0, memo=memo) is None
         assert hits(tracer) == 1
         assert tracer.metrics()["maze/no_path"]["value"] == 2
-
-    def test_backend_is_part_of_the_key(self):
-        ch, cv = costs()
-        memo = MazeMemo()
-        with obs.tracing(obs.Tracer()) as tracer:
-            with kernels.using("vectorized"):
-                maze_route(1, 1, 6, 5, ch, cv, 1, memo=memo)
-            with kernels.using("reference"):
-                got = maze_route(1, 1, 6, 5, ch, cv, 1, memo=memo)
-                want = maze_route(1, 1, 6, 5, ch, cv, 1)
-        assert hits(tracer) == 0
-        assert route_equal(got, want)
-        assert len(memo.entries) == 2
 
     def test_memoized_arrays_are_read_only(self):
         ch, cv = costs()

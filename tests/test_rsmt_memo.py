@@ -2,11 +2,13 @@
 
 :mod:`repro.rsmt.steiner` keeps each vertex's best median insertion
 between passes; ``rsmt_oracle`` rescans every vertex every pass.  Trees
-must match in points, pin flags, edges and dtypes, under both kernel
-backends.  :class:`repro.rsmt.batch.TreeMemo` shares trees by shape in
-every caller: a hit must equal a fresh build.  Tests swap in their own
-memo for the process's ``batch._MEMO``; a memo of zero bytes stores
-nothing, so every batch through it is a fresh build.
+must match in points, pin flags, edges and dtypes, built by
+``kernels.steiner_batch`` ("vectorized") and by its per-net loop in
+``kernels_oracle`` ("reference").  :class:`repro.rsmt.batch.TreeMemo`
+shares trees by shape in every caller: a hit must equal a fresh build.
+Tests swap in their own memo for the process's ``batch._MEMO``; a memo
+of zero bytes stores nothing, so every batch through it is a fresh
+build (one per distinct shape).
 """
 
 import sys
@@ -24,9 +26,12 @@ from repro.router import GlobalRouter
 from repro.rsmt import batch, build_rsmt
 from repro.rsmt.batch import TreeMemo, build_rsmt_batch, gcell_rsmt_batch
 
+from . import kernels_oracle
 from .rsmt_oracle import oracle_build_rsmt
 
 FIELDS = ("x", "y", "is_pin", "edges")
+#: The batch builders trees are checked under: the kernel, its loop.
+BUILDERS = ("vectorized", "reference")
 BATCH_FIELDS = ("net", "point_start", "gx", "gy", "is_pin", "edge_start", "edges")
 
 
@@ -48,13 +53,20 @@ def tie_heavy_nets(draw, min_size=4, max_size=20):
     return np.array(cells, dtype=np.float64).reshape(-1, 2)
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+def use_builder(monkeypatch, builder: str) -> None:
+    """Build trees with the kernel or, for "reference", its loop."""
+    if builder == "reference":
+        kernels_oracle.swap_in(monkeypatch, ["steiner_batch"])
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(nets=st.lists(tie_heavy_nets(), min_size=1, max_size=6))
-def test_steinerization_matches_the_oracle(backend, nets):
+def test_steinerization_matches_the_oracle(builder, nets):
     start = np.concatenate(([0], np.cumsum([len(p) for p in nets])))
     points = np.concatenate(nets)
-    with kernels.using(backend):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_builder(monkeypatch, builder)
         trees = build_rsmt_batch(points[:, 0], points[:, 1], start)
     for pts, tree in zip(nets, trees):
         assert_same_arrays(tree, oracle_build_rsmt(pts[:, 0], pts[:, 1]), FIELDS)
@@ -111,9 +123,8 @@ def fresh(use_memo):
     return build
 
 
-@pytest.fixture
-def built_degrees(monkeypatch):
-    """Sizes of the point sets every ``steiner_batch`` call builds."""
+def record_builds(monkeypatch) -> list:
+    """Sizes of the point sets every later ``steiner_batch`` call builds."""
     seen = []
     build = kernels.steiner_batch
 
@@ -125,26 +136,51 @@ def built_degrees(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
-def test_hits_equal_fresh_builds(backend, built_degrees, fresh, use_memo):
-    shapes = [np.array(s) for s in (
-        [[0, 0], [2, 1], [1, 3], [3, 3]],
-        [[0, 2], [1, 0], [2, 2], [4, 1], [4, 4], [0, 4]],
-        [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]],
-    )]
-    args = gcell_nets(3, nets=30, shapes=shapes)
-    with kernels.using(backend):
-        want = fresh(*args)
-        built_degrees.clear()
-        memo = use_memo(TreeMemo())
-        cold = gcell_rsmt_batch(*args)
-        assert len(built_degrees) == 30  # the memo fills after a batch
-        built_degrees.clear()
-        warm = gcell_rsmt_batch(*args)
+@pytest.fixture
+def built_degrees(monkeypatch):
+    return record_builds(monkeypatch)
+
+
+SHAPES = [np.array(s) for s in (
+    [[0, 0], [2, 1], [1, 3], [3, 3]],
+    [[0, 2], [1, 0], [2, 2], [4, 1], [4, 4], [0, 4]],
+    [[0, 0], [0, 1], [1, 0], [1, 1], [2, 2]],
+)]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_hits_equal_fresh_builds(builder, monkeypatch, fresh, use_memo):
+    use_builder(monkeypatch, builder)
+    built_degrees = record_builds(monkeypatch)
+    args = gcell_nets(3, nets=30, shapes=SHAPES)
+    want = fresh(*args)
+    built_degrees.clear()
+    memo = use_memo(TreeMemo())
+    cold = gcell_rsmt_batch(*args)
+    assert sorted(built_degrees) == [4, 5, 6]  # one build per shape
+    built_degrees.clear()
+    warm = gcell_rsmt_batch(*args)
     assert built_degrees == []  # three shapes at thirty corners
     assert len(memo) == 3
     assert_same_arrays(cold, want, BATCH_FIELDS)
     assert_same_arrays(warm, want, BATCH_FIELDS)
+
+
+def test_batch_builds_each_shape_once(built_degrees, fresh):
+    """Nets of one shape share one build inside a batch, with no memo to
+    keep it, and every net still gets the oracle's tree."""
+    start, cells, rows, ny = args = gcell_nets(5, nets=24, shapes=SHAPES)
+    got = fresh(*args)
+    assert sorted(built_degrees) == [4, 5, 6]
+    for i in rows:
+        gx, gy = np.divmod(cells[start[i] : start[i + 1]], ny)
+        want = oracle_build_rsmt(gx.astype(np.float64), gy.astype(np.float64))
+        lo, hi = got.point_start[i : i + 2]
+        assert np.array_equal(got.gx[lo:hi], want.x)
+        assert np.array_equal(got.gy[lo:hi], want.y)
+        assert np.array_equal(got.is_pin[lo:hi], want.is_pin)
+        edges = got.edges[got.edge_start[i] : got.edge_start[i + 1]] - lo
+        assert np.array_equal(edges, want.edges)
 
 
 def test_random_nets_hit_and_miss_exactly(fresh, use_memo):
@@ -156,7 +192,7 @@ def test_random_nets_hit_and_miss_exactly(fresh, use_memo):
         assert_same_arrays(gcell_rsmt_batch(*args), want, BATCH_FIELDS)
         assert_same_arrays(gcell_rsmt_batch(*args), want, BATCH_FIELDS)
     # Every net is stored, two-Gcell ones included (one int64 per point).
-    assert min(len(key[1]) for key in memo._entries) == 2 * 8
+    assert min(map(len, memo._entries)) == 2 * 8
 
 
 def test_stored_arrays_are_read_only(use_memo):
@@ -170,20 +206,6 @@ def test_stored_arrays_are_read_only(use_memo):
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[...] = 0
-
-
-def test_backend_is_part_of_the_key(built_degrees, use_memo):
-    memo = use_memo(TreeMemo())
-    args = gcell_nets(2)
-    with kernels.using("vectorized"):
-        gcell_rsmt_batch(*args)
-    stored = len(memo)
-    built_degrees.clear()
-    with kernels.using("reference"):
-        gcell_rsmt_batch(*args)
-    assert stored and len(memo) == 2 * stored
-    assert len(built_degrees) == len(args[2])  # every net missed
-    assert {key[0] for key in memo._entries} == set(kernels.BACKENDS)
 
 
 def memo_hits(tracer) -> float:
@@ -231,7 +253,7 @@ def test_byte_ceiling_holds(fresh, use_memo):
         assert memo.nbytes <= memo.max_bytes
     assert 0 < len(memo) and memo.nbytes > memo.max_bytes // 2
     size = memo.nbytes
-    assert not memo.put(("vectorized", b"\0" * 4000), memo.get(next(iter(memo._entries))))
+    assert not memo.put(b"\0" * 4000, memo.get(next(iter(memo._entries))))
     assert memo.nbytes == size
 
 
@@ -262,6 +284,6 @@ def test_concurrent_batches_keep_exact_bytes(fresh, use_memo):
     assert failures == []
     stored = [memo.get(key) for key in memo._entries]
     assert memo.nbytes == sum(
-        sys.getsizeof(key[1]) + sum(sys.getsizeof(getattr(t, f)) for f in FIELDS)
+        sys.getsizeof(key) + sum(sys.getsizeof(getattr(t, f)) for f in FIELDS)
         for key, t in zip(memo._entries, stored)
     )

@@ -1,6 +1,4 @@
-"""Tests for the repro.verify invariant checkers and differential harness."""
-
-import json
+"""Tests for the repro.verify invariant checkers."""
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from repro.verify import (
     checkers_for,
     run_checkers,
 )
-from repro.verify.differential import DiffCase, DiffReport, _map_case, _metric_case
 
 
 @pytest.fixture(scope="module")
@@ -367,54 +364,6 @@ class TestApiWiring:
     def test_run_rejects_unknown_level(self, small_design):
         with pytest.raises(ValueError):
             api.run(small_design, config=api.RunConfig(verify="paranoid"))
-
-
-class TestDifferentialPieces:
-    def test_map_case_agreement(self):
-        a = np.ones((4, 4))
-        case = _map_case("maps/x", a, a.copy())
-        assert case.ok and case.measured == 0.0
-
-    def test_map_case_shape_mismatch(self):
-        case = _map_case("maps/x", np.ones((2, 2)), np.ones((3, 3)))
-        assert not case.ok and case.measured == float("inf")
-
-    def test_map_case_out_of_tolerance(self):
-        a = np.ones(3)
-        b = a + 1e-3
-        assert not _map_case("maps/x", a, b).ok
-
-    def test_metric_case_tolerances(self):
-        assert _metric_case("m", 100.0, 104.0, rtol=0.05).ok
-        assert not _metric_case("m", 100.0, 110.0, rtol=0.05).ok
-        assert _metric_case("m", 1.0, 1.5, atol=1.0).ok
-
-    def test_report_ok_requires_clean_invariants(self):
-        report = DiffReport(design="d", scale=0.01, seed=0, quick=True)
-        report.cases.append(DiffCase(name="c", measured=0, tolerance=1, ok=True))
-        report.invariants["reference"] = {
-            "num_errors": 1, "num_warnings": 0, "checkers_run": [],
-        }
-        assert not report.ok
-
-    def test_report_json_round_trip(self, tmp_path):
-        report = DiffReport(design="d", scale=0.01, seed=3, quick=False)
-        report.cases.append(DiffCase(name="c", measured=0.0, tolerance=1.0, ok=True))
-        path = tmp_path / "diff.json"
-        report.to_json(str(path))
-        data = json.loads(path.read_text())
-        assert data["ok"] is True and data["design"] == "d"
-        assert data["cases"][0]["name"] == "c"
-
-    def test_diff_maps_on_placed_design(self, legalized):
-        from repro.verify import diff_maps
-
-        cases = diff_maps(legalized)
-        assert {c.name for c in cases} == {
-            "maps/demand_h", "maps/demand_v", "maps/rudy_h",
-            "maps/rudy_v", "maps/density",
-        }
-        assert all(c.ok for c in cases)
 
 
 class TestSuiteWiring:
