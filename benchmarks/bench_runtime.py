@@ -19,18 +19,20 @@ import json
 import os
 import time
 
+from repro import obs
 from repro.evalkit import SuiteRunConfig, run_suite
-from repro.runtime import Telemetry
+from repro.obs.report import runtime_summary
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
 def timed_run(config: SuiteRunConfig, **kwargs) -> tuple:
-    telemetry = Telemetry()
-    start = time.perf_counter()
-    rows = run_suite(config, telemetry=telemetry, **kwargs)
-    wall = time.perf_counter() - start
-    return rows, wall, telemetry
+    """``(rows, wall seconds, runtime/* counters)`` of one suite run."""
+    with obs.tracing(obs.Tracer()) as tracer:
+        start = time.perf_counter()
+        rows = run_suite(config, **kwargs)
+        wall = time.perf_counter() - start
+    return rows, wall, tracer.metrics()
 
 
 def main(argv=None) -> int:
@@ -55,12 +57,12 @@ def main(argv=None) -> int:
     print(f"serial (jobs=1):      {serial_wall:8.2f}s")
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        _rows, parallel_wall, tel = timed_run(config, jobs=args.jobs, cache=cache_dir)
-        print(f"parallel (jobs={args.jobs}):    {parallel_wall:8.2f}s   [{tel.summary()}]")
+        _rows, parallel_wall, metrics = timed_run(config, jobs=args.jobs, cache=cache_dir)
+        print(f"parallel (jobs={args.jobs}):    {parallel_wall:8.2f}s   [{runtime_summary(metrics)}]")
 
-        _rows, warm_wall, tel = timed_run(config, jobs=args.jobs, cache=cache_dir)
-        print(f"warm cache rerun:     {warm_wall:8.2f}s   [{tel.summary()}]")
-        cache_hits = tel.cache_hits
+        _rows, warm_wall, metrics = timed_run(config, jobs=args.jobs, cache=cache_dir)
+        print(f"warm cache rerun:     {warm_wall:8.2f}s   [{runtime_summary(metrics)}]")
+        cache_hits = int(metrics.get("runtime/cache_hit", {}).get("value", 0))
 
     report = {
         "bench": "runtime",

@@ -9,8 +9,9 @@ Pass-Count rows).  Expected shape versus the paper:
 * the commercial substitute is close in quality but several times slower;
 * the RePlAce-like flow is clearly worse on the congested designs.
 
-Runtime at the default scale is tens of minutes; set ``REPRO_SCALE=0.002``
-for a quick pass.
+Runtime at the default scale (0.004) is a few minutes: 2 min 09 s and
+3 min 22 s in two measurements on 2-vCPU containers.  Set
+``REPRO_SCALE=0.002`` for a quicker pass.
 """
 
 import json

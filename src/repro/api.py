@@ -427,7 +427,6 @@ def suite(
     journal=None,
     resume: bool = False,
     retries: int = 0,
-    telemetry=None,
 ) -> list:
     """The Table-II suite evaluation through the facade.
 
@@ -457,7 +456,6 @@ def suite(
             journal=journal,
             resume=resume,
             retries=retries,
-            telemetry=telemetry,
         )
 
 

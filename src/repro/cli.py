@@ -40,7 +40,7 @@ import functools
 import json
 import sys
 
-from . import api
+from . import api, obs
 from .benchgen import make_design, suite_names
 from .netlist import load_design, save_design
 from .placer import PlacementParams
@@ -455,7 +455,7 @@ def _explore_remote(client, args, config) -> int:
 
 
 def cmd_explore(args) -> int:
-    from .runtime import ArtifactCache, Journal, Telemetry
+    from .runtime import ArtifactCache, Journal
     from .tpe import TransferPriors
 
     config = api.ExploreConfig(
@@ -509,26 +509,25 @@ def cmd_explore(args) -> int:
             )
     else:
         from .core.exploration import make_batch_evaluator
+        from .obs.report import runtime_summary
 
-        telemetry = Telemetry()
-        evaluator = None
-        priors = None
-        if journal is not None:
-            cache = (
-                ArtifactCache(args.cache_dir, telemetry=telemetry)
-                if args.cache_dir else None
+        # The runtime summary is read off this run's tracer, which
+        # stays in memory unless --trace names a file.
+        with obs.tracing(args.trace or obs.Tracer()) as tracer:
+            evaluator = None
+            priors = None
+            if journal is not None:
+                cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
+                evaluator = make_batch_evaluator(
+                    config.objective(), cache=cache, journal=journal
+                )
+                if allow_priors and cache is not None:
+                    priors = TransferPriors(cache)
+            outcome = api.run_exploration(
+                config, evaluator=evaluator, on_trial=on_trial, priors=priors
             )
-            evaluator = make_batch_evaluator(
-                config.objective(), cache=cache, journal=journal
-            )
-            if allow_priors and cache is not None:
-                priors = TransferPriors(cache)
-        outcome = api.run_exploration(
-            config, evaluator=evaluator, on_trial=on_trial, priors=priors,
-            trace=args.trace,
-        )
-        if evaluator is not None:
-            print(f"runtime: {telemetry.summary()}")
+            if evaluator is not None:
+                print(f"runtime: {runtime_summary(tracer.metrics())}")
 
     report = outcome.report
     print(
@@ -541,24 +540,24 @@ def cmd_explore(args) -> int:
 
 def cmd_suite(args) -> int:
     from .evalkit import format_table2
-    from .runtime import Telemetry
+    from .obs.report import runtime_summary
 
-    telemetry = Telemetry()
-    rows = api.suite(
-        api.RunConfig(scale=args.scale, seed=args.seed, verify=args.verify),
-        benchmarks=args.designs,
-        trace=args.trace,
-        progress=lambda r: print(
-            f"  {r.benchmark:16s} {r.placer:16s} HOF {r.hof:6.2f} VOF {r.vof:6.2f}"
-        ),
-        jobs=args.jobs,
-        cache=args.cache_dir,
-        journal=_journal_path(args, "suite"),
-        resume=args.resume,
-        telemetry=telemetry,
-    )
-    print(format_table2(rows))
-    print(f"runtime: {telemetry.summary()}")
+    # The runtime summary is read off this run's tracer, which stays in
+    # memory unless --trace names a file.
+    with obs.tracing(args.trace or obs.Tracer()) as tracer:
+        rows = api.suite(
+            api.RunConfig(scale=args.scale, seed=args.seed, verify=args.verify),
+            benchmarks=args.designs,
+            progress=lambda r: print(
+                f"  {r.benchmark:16s} {r.placer:16s} HOF {r.hof:6.2f} VOF {r.vof:6.2f}"
+            ),
+            jobs=args.jobs,
+            cache=args.cache_dir,
+            journal=_journal_path(args, "suite"),
+            resume=args.resume,
+        )
+        print(format_table2(rows))
+        print(f"runtime: {runtime_summary(tracer.metrics())}")
     return 0
 
 
@@ -572,7 +571,6 @@ def cmd_report(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from . import obs
     from .serve import HttpServer, PlacementService, ServiceConfig
 
     weights = {}
@@ -734,7 +732,6 @@ def _format_eco_step(summary: dict) -> str:
 
 
 def _eco_run(args) -> int:
-    from . import obs
     from .eco import EcoSession
     from .runtime import ArtifactCache
 

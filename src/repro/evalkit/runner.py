@@ -29,18 +29,9 @@ from .. import api, obs
 from ..core import StrategyParams
 from ..placer import PlacementParams
 from ..router import RouterParams
-from ..runtime import (
-    JOURNAL_REPLAYED,
-    MISSING,
-    ArtifactCache,
-    Journal,
-    RunEvent,
-    Task,
-    TaskExecutor,
-    Telemetry,
-    stable_hash,
-)
+from ..runtime import MISSING, ArtifactCache, Journal, Task, TaskExecutor, stable_hash
 from ..runtime import shm
+from ..runtime.executor import emit
 from .metrics import PlacerMetrics
 
 
@@ -207,7 +198,6 @@ def run_suite(
     journal=None,
     resume: bool = False,
     retries: int = 0,
-    telemetry: Telemetry | None = None,
     executor: TaskExecutor | None = None,
 ) -> list:
     """Evaluate every flow on every benchmark.
@@ -231,9 +221,12 @@ def run_suite(
         resume: replay journaled cells instead of starting over.
         retries: extra attempts per failed cell (worker crashes always
             consume the retry budget).
-        telemetry: shared event collector (created when omitted).
         executor: pre-built :class:`TaskExecutor` (overrides ``jobs``
             and ``retries``).
+
+    Task lifecycles, cache lookups and journal replays are narrated as
+    ``runtime/*`` events and counters into the current :mod:`repro.obs`
+    tracer; :func:`repro.obs.report.runtime_summary` summarizes them.
 
     Returns:
         All metric rows, benchmark-major in flow order (independent of
@@ -249,11 +242,8 @@ def run_suite(
     custom_flows = flows is not None
     flows = flows if custom_flows else api.table2_flows(strategy)
     names = config.benchmarks or suite_names()
-    telemetry = telemetry or Telemetry()
     if isinstance(cache, str):
-        cache = ArtifactCache(cache, telemetry=telemetry)
-    elif cache is not None and cache.telemetry is None:
-        cache.telemetry = telemetry
+        cache = ArtifactCache(cache)
     if isinstance(journal, str):
         journal = Journal(journal)
     if journal is not None and not resume:
@@ -293,7 +283,7 @@ def run_suite(
             if record is None:
                 continue
             row = PlacerMetrics(**record["row"])
-            telemetry.emit(RunEvent(kind=JOURNAL_REPLAYED, key=keys[cell]))
+            emit("journal_replayed", keys[cell])
             settle(cell, keys[cell], row, journal_it=False)
 
     # 2. Cache: reuse identical cells from earlier runs.
@@ -309,7 +299,7 @@ def run_suite(
     remainder = [cell for cell in cells if cell not in rows]
     if remainder:
         if executor is None:
-            executor = TaskExecutor(jobs=jobs, retries=retries, telemetry=telemetry)
+            executor = TaskExecutor(jobs=jobs, retries=retries)
         key_to_cell = {keys[cell]: cell for cell in remainder}
 
         # Zero-copy fan-out: with a worker pool and the default flows,

@@ -10,13 +10,49 @@ Traces that contain ``runtime/ipc/*`` spans (shared-memory publish and
 attach, worker-payload pickling) additionally get a
 serialization-vs-compute split, so the cost of moving data to workers
 is visible next to the cost of placing cells.
+
+Traces of runs driven through :mod:`repro.runtime` (the suite, local
+exploration) carry ``runtime/*`` counters; :func:`runtime_summary` turns
+them into the one-line ``runtime:`` summary the CLI prints after such a
+run, and the report of a trace that has them repeats that line.
 """
 
 from __future__ import annotations
 
 from .trace import read_trace
 
-IPC_PREFIX = "runtime/ipc/"
+RUNTIME_PREFIX = "runtime/"
+IPC_PREFIX = RUNTIME_PREFIX + "ipc/"
+
+
+def runtime_summary(metrics: dict) -> str:
+    """The ``runtime/*`` counters as one human line.
+
+    Args:
+        metrics: ``name -> metric`` where each metric carries a
+            ``"value"`` — :meth:`repro.obs.Tracer.metrics` of a live
+            tracer, or a saved trace's ``metric`` records by name.
+
+    Example:
+        >>> runtime_summary({"runtime/task_finished": {"value": 3.0},
+        ...                  "runtime/cache_miss": {"value": 3.0}})
+        '3 done, 0 failed, 0 retried, cache 0/3 hits'
+    """
+
+    def count(kind: str) -> int:
+        return int(metrics.get(RUNTIME_PREFIX + kind, {}).get("value", 0))
+
+    hits, misses = count("cache_hit"), count("cache_miss")
+    parts = [
+        f"{count('task_finished')} done",
+        f"{count('task_failed')} failed",
+        f"{count('task_retried')} retried",
+    ]
+    if hits or misses:
+        parts.append(f"cache {hits}/{hits + misses} hits")
+    if count("journal_replayed"):
+        parts.append(f"{count('journal_replayed')} replayed")
+    return ", ".join(parts)
 
 
 def summarize_trace(records: list, top: int | None = None) -> dict:
@@ -30,7 +66,8 @@ def summarize_trace(records: list, top: int | None = None) -> dict:
     Returns:
         ``{"spans": [...], "span_count": N, "root_total": s,
         "ipc": {...} | None, "metrics": [...], "events": [...],
-        "errors": [...], "records": N}`` where each span row is
+        "errors": [...], "runtime": str | None, "records": N}`` where
+        each span row is
         ``{"name", "count", "total", "mean", "max", "pct"}`` in
         first-occurrence order (``pct`` is percent of the root spans'
         total wall-clock).
@@ -91,6 +128,11 @@ def summarize_trace(records: list, top: int | None = None) -> dict:
         "metrics": metrics,
         "events": sorted(events.items()),
         "errors": errors,
+        "runtime": (
+            runtime_summary({m["name"]: m for m in metrics})
+            if any(m["name"].startswith(RUNTIME_PREFIX) for m in metrics)
+            else None
+        ),
         "records": len(records),
     }
 
@@ -132,6 +174,10 @@ def render_report(records: list, top: int | None = None) -> str:
                 f"{record['name']:<34} {record['kind']:>9}  "
                 f"{_metric_value(record)}"
             )
+
+    if summary["runtime"] is not None:
+        lines.append("")
+        lines.append(f"runtime: {summary['runtime']}")
 
     if summary["events"]:
         lines.append("")

@@ -6,8 +6,8 @@ small JSON-serializable *records*:
 * ``span`` records — one per closed :class:`Span`, carrying the span
   name, a tracer-unique id, the parent span id (hierarchy), the
   monotonic start offset, the duration, and free-form attributes.
-* ``event`` records — instantaneous points (e.g. the runtime telemetry
-  events merged in by :class:`repro.runtime.Telemetry`).
+* ``event`` records — instantaneous points (e.g. the ``runtime/*``
+  task and cache events of :mod:`repro.runtime`).
 * ``metric`` records — final aggregates of every typed instrument
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`), emitted once
   when the tracer closes so hot-loop updates never touch a sink.
@@ -348,15 +348,25 @@ class Tracer:
 
 
 class JsonlSink:
-    """Appends one compact JSON object per record to ``path``."""
+    """Appends one compact JSON object per record to ``path``.
 
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
+    ``path`` may be a ``str``, ``bytes`` or path-like.  Every line is
+    flushed as it is written, so a reader polling the file (a serving
+    shard's progress channel) sees each record at once, a killed run
+    keeps every record it emitted, and no buffered fragment is left to
+    cross a fork.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = os.fsdecode(path)
         self._file = open(self.path, "a")
 
     def __call__(self, record: dict) -> None:
-        json.dump(record, self._file, separators=(",", ":"), default=_json_default)
-        self._file.write("\n")
+        # json.dumps, not json.dump: the one-shot encoder is the C one.
+        self._file.write(
+            json.dumps(record, separators=(",", ":"), default=_json_default) + "\n"
+        )
+        self._file.flush()
 
     def close(self) -> None:
         if not self._file.closed:

@@ -11,8 +11,12 @@ today, sharded/serving workloads later:
   on-disk cache keyed by configuration hash.
 * :class:`Journal` — append-only JSON-lines checkpoint enabling
   resume-after-kill.
-* :class:`Telemetry` / :class:`RunEvent` — structured progress events
-  and counters consumed by the CLI and benchmarks.
+
+Every layer narrates through the current :mod:`repro.obs` tracer: task
+lifecycles, cache lookups and journal replays become ``runtime/<kind>``
+events plus a ``runtime/<kind>`` counter each, which the CLI's
+``runtime:`` summary line (:func:`repro.obs.report.runtime_summary`)
+and the benchmarks read back.
 """
 
 from .cache import MISSING, ArtifactCache, stable_hash
@@ -33,50 +37,24 @@ from .shm import (
     attach_design,
     publish_design,
 )
-from .progress import (
-    CACHE_HIT,
-    CACHE_MISS,
-    JOURNAL_REPLAYED,
-    POOL_RESTARTED,
-    TASK_FAILED,
-    TASK_FINISHED,
-    TASK_INLINE,
-    TASK_RETRIED,
-    TASK_STARTED,
-    RunEvent,
-    Telemetry,
-    console_sink,
-)
 
 __all__ = [
     "ArtifactCache",
-    "CACHE_HIT",
-    "CACHE_MISS",
     "CheckpointError",
-    "JOURNAL_REPLAYED",
     "Journal",
     "MISSING",
-    "POOL_RESTARTED",
-    "RunEvent",
     "RuntimeTaskError",
     "SharedDesign",
     "SharedDesignCache",
     "SharedDesignHandle",
     "SharedMemoryError",
-    "TASK_FAILED",
-    "TASK_FINISHED",
-    "TASK_INLINE",
-    "TASK_RETRIED",
-    "TASK_STARTED",
     "Task",
     "TaskExecutionError",
     "TaskExecutor",
     "TaskResult",
     "TaskTimeoutError",
-    "Telemetry",
     "WorkerCrashError",
     "attach_design",
-    "console_sink",
     "publish_design",
     "stable_hash",
 ]

@@ -24,7 +24,7 @@ import os
 import pickle
 import tempfile
 
-from .progress import CACHE_HIT, CACHE_MISS, RunEvent
+from .executor import emit
 
 #: Sentinel returned by :meth:`ArtifactCache.get` on a miss (``None`` is
 #: a legitimate cached value).
@@ -81,24 +81,21 @@ def stable_hash(payload) -> str:
 class ArtifactCache:
     """Pickle-backed key/value store addressed by configuration hash.
 
+    Every lookup is narrated as a ``runtime/cache_hit`` or
+    ``runtime/cache_miss`` event into the tracer current at the time of
+    the lookup, so the run that asks is the run that counts it.
+
     Args:
         root: cache directory (created on first write).
-        telemetry: optional :class:`repro.runtime.progress.Telemetry`
-            receiving hit/miss events.
     """
 
-    def __init__(self, root: str, telemetry=None) -> None:
+    def __init__(self, root: str) -> None:
         self.root = str(root)
-        self.telemetry = telemetry
         self.hits = 0
         self.misses = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.pkl")
-
-    def _emit(self, kind: str, key: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(RunEvent(kind=kind, key=key))
 
     def get(self, key: str):
         """The cached value for ``key``, or :data:`MISSING`.
@@ -111,15 +108,15 @@ class ArtifactCache:
                 value = pickle.load(f)
         except FileNotFoundError:
             self.misses += 1
-            self._emit(CACHE_MISS, key)
+            emit("cache_miss", key)
             return MISSING
         except (pickle.UnpicklingError, EOFError, AttributeError, ValueError, OSError):
             self.invalidate(key)
             self.misses += 1
-            self._emit(CACHE_MISS, key)
+            emit("cache_miss", key)
             return MISSING
         self.hits += 1
-        self._emit(CACHE_HIT, key)
+        emit("cache_hit", key)
         return value
 
     def put(self, key: str, value) -> None:

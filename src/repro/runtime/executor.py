@@ -53,19 +53,27 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from .errors import TaskExecutionError, TaskTimeoutError, WorkerCrashError
-from .progress import (
-    POOL_RESTARTED,
-    TASK_FAILED,
-    TASK_FINISHED,
-    TASK_INLINE,
-    TASK_RETRIED,
-    TASK_STARTED,
-    RunEvent,
-    Telemetry,
-)
 
 #: Scheduler poll interval (seconds) while futures are in flight.
 _TICK = 0.05
+
+
+def emit(kind: str, key: str = "", attempt: int = 0, wall_time: float = 0.0,
+         detail: str = "") -> None:
+    """Narrate one runtime event into the current tracer.
+
+    Records a ``runtime/<kind>`` event (``key``: the task or cache key,
+    ``""`` for global events such as pool restarts; ``wall_time``:
+    seconds of a finished or failed attempt; ``attempt``: 1-based;
+    ``detail``: free-form context) and counts it in the
+    ``runtime/<kind>`` counter.  Kinds: ``task_started``,
+    ``task_finished``, ``task_retried``, ``task_failed``,
+    ``task_inline``, ``pool_restarted``, ``cache_hit``, ``cache_miss``
+    and ``journal_replayed``.
+    """
+    name = "runtime/" + kind
+    obs.event(name, key=key, wall_time=wall_time, attempt=attempt, detail=detail)
+    obs.counter(name).inc()
 
 
 def _warmup() -> int:
@@ -78,7 +86,7 @@ class Task:
     """One unit of work.
 
     Attributes:
-        key: unique identifier (also the journal / telemetry key).
+        key: unique identifier (also the journal / event key).
         fn: callable executed as ``fn(*args, **kwargs)``; must be
             picklable (with its arguments) to run in a worker process,
             otherwise the task silently runs inline.
@@ -138,7 +146,6 @@ class TaskExecutor:
         retries: default extra attempts per task after the first.
         backoff: base retry delay in seconds, doubled per attempt.
         timeout: default per-task timeout (pool mode only).
-        telemetry: optional :class:`Telemetry` receiving run events.
         mp_context: ``multiprocessing`` context (``None`` = platform
             default; tests use it to force ``spawn``).
         persistent: keep one process pool alive across ``run()`` calls
@@ -154,7 +161,6 @@ class TaskExecutor:
         retries: int = 1,
         backoff: float = 0.2,
         timeout: float | None = None,
-        telemetry: Telemetry | None = None,
         mp_context=None,
         persistent: bool = False,
         force_pool: bool = False,
@@ -165,7 +171,6 @@ class TaskExecutor:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self.telemetry = telemetry or Telemetry()
         self.mp_context = mp_context
         self.persistent = persistent
         self.force_pool = force_pool
@@ -210,9 +215,9 @@ class TaskExecutor:
         The submission hook used by the :mod:`repro.serve` worker pool:
         each service worker owns an inline executor and funnels one job
         at a time through it, inheriting the retry/backoff accounting
-        and telemetry of :meth:`run`.  Safe to call concurrently from
-        several threads on an inline (``jobs=1``) executor — the inline
-        path keeps no shared mutable state beyond telemetry.
+        and runtime events of :meth:`run`.  Safe to call concurrently
+        from several threads on an inline (``jobs=1``) executor — the
+        inline path keeps no shared mutable state of its own.
         """
         return self.run([task])[0]
 
@@ -245,7 +250,7 @@ class TaskExecutor:
         attempt = 0
         while True:
             attempt += 1
-            self._emit(TASK_STARTED, task.key, attempt=attempt)
+            emit("task_started", task.key, attempt=attempt)
             start = time.perf_counter()
             try:
                 value = task.fn(*task.args, **task.kwargs)
@@ -253,7 +258,7 @@ class TaskExecutor:
                 wall = time.perf_counter() - start
                 error = TaskExecutionError(task.key, str(exc), traceback.format_exc())
                 if attempt <= budget:
-                    self._emit(TASK_RETRIED, task.key, attempt=attempt, detail=str(exc))
+                    emit("task_retried", task.key, attempt=attempt, detail=str(exc))
                     time.sleep(self.backoff * (2 ** (attempt - 1)))
                     continue
                 return self._finalize(
@@ -278,7 +283,7 @@ class TaskExecutor:
                 try:
                     blob = pickle.dumps((task.fn, task.args, task.kwargs))
                 except (pickle.PicklingError, TypeError, AttributeError):
-                    self._emit(TASK_INLINE, task.key, detail="unpicklable payload")
+                    emit("task_inline", task.key, detail="unpicklable payload")
                     inline_tasks.append(task)
                 else:
                     payload_bytes += len(blob)
@@ -368,7 +373,7 @@ class TaskExecutor:
                 while ready and len(inflight) < window:
                     task, attempt, _ = item = ready.pop(0)
                     queue.remove(item)
-                    self._emit(TASK_STARTED, task.key, attempt=attempt)
+                    emit("task_started", task.key, attempt=attempt)
                     start = time.perf_counter()
                     timeout = self.timeout if task.timeout is None else task.timeout
                     deadline = None if timeout is None else start + timeout
@@ -467,7 +472,7 @@ class TaskExecutor:
 
     def _restart_pool(self, pool, why: str) -> cf.ProcessPoolExecutor:
         self._kill_pool(pool)
-        self._emit(POOL_RESTARTED, detail=why)
+        emit("pool_restarted", detail=why)
         fresh = self._make_pool()
         if self.persistent:
             self._pool = fresh
@@ -480,7 +485,7 @@ class TaskExecutor:
     def _retry_or_fail(self, flight: _Flight, error, queue, results, on_result) -> None:
         task = flight.task
         if flight.attempt <= self._budget(task):
-            self._emit(TASK_RETRIED, task.key, attempt=flight.attempt, detail=str(error))
+            emit("task_retried", task.key, attempt=flight.attempt, detail=str(error))
             ready_at = time.perf_counter() + self.backoff * (2 ** (flight.attempt - 1))
             queue.append((task, flight.attempt + 1, ready_at))
             return
@@ -505,16 +510,10 @@ class TaskExecutor:
         self._retry_or_fail(flight, error, queue, results, on_result)
 
     def _finalize(self, task: Task, on_result, result: TaskResult) -> TaskResult:
-        kind = TASK_FINISHED if result.ok else TASK_FAILED
+        kind = "task_finished" if result.ok else "task_failed"
         detail = "" if result.ok else str(result.error)
-        self._emit(kind, task.key, attempt=result.attempts,
-                   wall_time=result.wall_time, detail=detail)
+        emit(kind, task.key, attempt=result.attempts,
+             wall_time=result.wall_time, detail=detail)
         if on_result is not None:
             on_result(result)
         return result
-
-    def _emit(self, kind, key="", attempt=0, wall_time=0.0, detail="") -> None:
-        self.telemetry.emit(
-            RunEvent(kind=kind, key=key, wall_time=wall_time,
-                     attempt=attempt, detail=detail)
-        )

@@ -67,7 +67,7 @@ from .client import (
     make_request,
     make_session_request,
 )
-from .events import EventLog, ProgressWriter, read_new_progress
+from .events import EventLog, read_new_progress
 from .exploration import (
     DistributedEvaluator,
     Exploration,
@@ -116,7 +116,6 @@ __all__ = [
     "LocalServiceHost",
     "PlacementService",
     "ProcessShard",
-    "ProgressWriter",
     "QUEUED",
     "QueueFullError",
     "RUNNING",

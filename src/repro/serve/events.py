@@ -2,20 +2,19 @@
 
 The streaming pipeline has three small parts:
 
-* :class:`ProgressWriter` — the sink of a :class:`ProgressTracer`
-  installed *inside the worker process* (see
-  :func:`repro.serve.shards.run_sharded`).
-  It filters the span stream down to the three progress loops the flow
-  already narrates (``gp/iteration``, ``puffer/padding_round``,
-  ``route/rrr_round``), converts each closed span into a
-  :class:`repro.schema.JobProgress`, and appends it as one JSONL line to
-  a per-job progress file, flushed per line.  A file is the channel on
-  purpose: it survives the worker being killed mid-placement (the
-  parent just stops seeing new lines) and needs no picklable plumbing
-  through the process pool.
+* :class:`ProgressTracer` — the tracer installed *inside the worker
+  process* (see :func:`repro.serve.shards.run_sharded`).  It records
+  only the three progress loops the flow already narrates
+  (``gp/iteration``, ``puffer/padding_round``, ``route/rrr_round``) and
+  writes their closed spans through an :class:`repro.obs.JsonlSink` to
+  a per-job progress file, one flushed JSONL line each.  A file is the
+  channel on purpose: it survives the worker being killed
+  mid-placement (the parent just stops seeing new lines) and needs no
+  picklable plumbing through the process pool.
 * :func:`read_new_progress` — the parent-side incremental reader: parse
   every *complete* line past a byte offset (a torn final line is left
-  for the next poll) and return the samples plus the new offset.
+  for the next poll) and map each span record to a
+  :class:`repro.schema.JobProgress` (:func:`progress_from_record`).
 * :class:`EventLog` — the loop-confined per-resource event journal
   each :class:`repro.serve.resources.ResourceManager` keeps.  Every
   lifecycle transition, progress sample and exploration trial becomes
@@ -66,8 +65,8 @@ class ProgressTracer(Tracer):
     """A tracer that records the progress spans and nothing else.
 
     Every other span, event and instrument is the shared no-op
-    singleton, so a shard worker pays for the few records its
-    :class:`ProgressWriter` keeps rather than for the whole trace.
+    singleton, so a shard worker pays for the few records its progress
+    file keeps rather than for the whole trace.
     """
 
     def span(self, name: str, **attrs):
@@ -82,35 +81,13 @@ class ProgressTracer(Tracer):
         return NOOP_INSTRUMENT
 
 
-class ProgressWriter:
-    """Tracer sink writing progress samples as JSONL to ``path``."""
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._file = open(self.path, "a")
-
-    def __call__(self, record: dict) -> None:
-        progress = progress_from_record(record)
-        if progress is None:
-            return
-        # json.dumps, not json.dump: the one-shot encoder is the C one.
-        self._file.write(
-            json.dumps(progress.to_dict(), separators=(",", ":")) + "\n"
-        )
-        self._file.flush()
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
-
-
 def read_new_progress(path: str, offset: int = 0) -> tuple:
-    """Parse complete progress lines past ``offset``.
+    """Parse the progress samples of complete lines past ``offset``.
 
     Returns ``(samples, new_offset)``.  A missing file (worker not
     started yet, or already cleaned up) and a torn final line are both
-    "nothing new yet"; a garbled complete line is skipped rather than
-    poisoning the stream.
+    "nothing new yet"; a garbled complete line, or a record that is no
+    progress span, is skipped rather than poisoning the stream.
     """
     try:
         with open(path, "rb") as f:
@@ -127,9 +104,12 @@ def read_new_progress(path: str, offset: int = 0) -> tuple:
         if not line:
             continue
         try:
-            samples.append(JobProgress.from_dict(json.loads(line)))
-        except ValueError:  # includes SchemaError and JSONDecodeError
+            record = json.loads(line)
+        except ValueError:
             continue
+        progress = progress_from_record(record) if isinstance(record, dict) else None
+        if progress is not None:
+            samples.append(progress)
     return samples, offset + end + 1
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro import api, obs
 from repro.schema import JobEvent, JobProgress
-from repro.serve.events import EventLog, ProgressTracer, ProgressWriter, read_new_progress
+from repro.serve.events import EventLog, ProgressTracer, read_new_progress
 
 SAMPLES = [
     JobProgress("gp", 0, {"hpwl": 3672.518478202929, "overflow": 0.9161150907968102}),
@@ -73,14 +73,10 @@ def test_wait_returns_the_same_events():
 def progress_file(tmp_path_factory):
     """The progress stream of one OR1200 placement and route."""
     path = tmp_path_factory.mktemp("progress") / "job.jsonl"
-    writer = ProgressWriter(str(path))
-    previous = obs.get_tracer()
-    obs.set_tracer(ProgressTracer(sinks=[writer]))
-    try:
+    tracer = ProgressTracer(sinks=[obs.JsonlSink(path)])
+    with obs.tracing(tracer):
         api.run("OR1200", config=api.RunConfig(scale=0.002), route=True)
-    finally:
-        obs.set_tracer(previous)
-        writer.close()
+    tracer.close()
     return str(path)
 
 

@@ -1,12 +1,13 @@
 """Tests for the observability layer (repro.obs)."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.report import render_report, summarize_trace
+from repro.obs.report import render_report, runtime_summary, summarize_trace
 from repro.obs.trace import NOOP_INSTRUMENT, NOOP_SPAN, JsonlSink, Tracer
 
 
@@ -139,6 +140,30 @@ class TestJsonlRoundTrip:
         assert [r["type"] for r in records] == ["event", "span", "metric"]
         assert records == list(tracer.ring)
 
+    @pytest.mark.parametrize(
+        "target", ["run.jsonl", b"run.jsonl", pathlib.Path("run.jsonl")],
+        ids=["str", "bytes", "path"],
+    )
+    def test_path_targets_name_the_file(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        with obs.tracing(target):
+            obs.event("via-tracing")
+        sink = JsonlSink(target)
+        sink({"type": "event", "name": "via-sink"})
+        sink.close()
+        assert sink.path == "run.jsonl"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert [r["name"] for r in obs.read_trace("run.jsonl")] == [
+            "via-tracing", "via-sink"
+        ]
+
+    def test_each_record_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        tracer = Tracer(sinks=[JsonlSink(path)])
+        tracer.event("first")
+        assert [r["name"] for r in obs.read_trace(path)] == ["first"]
+        tracer.close()
+
     def test_read_trace_rejects_bad_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type":"event","name":"ok"}\nnot json\n')
@@ -209,6 +234,18 @@ class TestReport:
         assert "widgets" in text
         assert "TRACE REPORT" in text
 
+    def test_runtime_counters_render_the_cli_summary_line(self, tmp_path):
+        path = tmp_path / "suite.jsonl"
+        with obs.tracing(path) as tracer:
+            for kind in ("task_finished", "cache_miss", "cache_hit",
+                         "journal_replayed"):
+                obs.counter("runtime/" + kind).inc()
+            line = runtime_summary(tracer.metrics())
+        assert line == "1 done, 0 failed, 0 retried, cache 1/2 hits, 1 replayed"
+        assert f"runtime: {line}" in render_report(obs.read_trace(path)).splitlines()
+        assert summarize_trace(self._trace())["runtime"] is None
+        assert runtime_summary({}) == "0 done, 0 failed, 0 retried"
+
     def test_render_report_lists_errors(self):
         tracer = Tracer()
         with pytest.raises(ValueError):
@@ -244,7 +281,9 @@ class TestFlowIntegration:
             )
         records = obs.read_trace(path)  # raises on an interleaved line
         # Workers do the placement; only the parent's records survive.
-        assert sum(1 for r in records if r["name"] == "runtime/task_finished") == 3
+        finished = [r for r in records if r["name"] == "runtime/task_finished"]
+        assert [r["type"] for r in finished] == ["event"] * 3 + ["metric"]
+        assert finished[-1]["value"] == 3
         assert not any(r["name"] == "api/run" for r in records if r["type"] == "span")
 
     def test_child_process_emit_is_dropped(self):
@@ -255,15 +294,19 @@ class TestFlowIntegration:
             pass
         assert not tracer.ring
 
-    def test_runtime_telemetry_mirrors_into_trace(self):
-        from repro.runtime import TASK_FINISHED, RunEvent, Telemetry
+    def test_runtime_events_land_in_trace(self):
+        from repro.runtime import Task, TaskExecutor
 
         tracer = Tracer()
         with obs.tracing(tracer):
-            Telemetry().emit(RunEvent(kind=TASK_FINISHED, key="k", wall_time=1.0))
-        (record,) = tracer.ring
-        assert record["name"] == "runtime/task_finished"
-        assert record["attrs"]["key"] == "k"
+            TaskExecutor(jobs=1).run([Task("k", int)])
+        assert [r["name"] for r in tracer.ring] == [
+            "runtime/task_started", "runtime/task_finished"
+        ]
+        attrs = tracer.ring[-1]["attrs"]
+        assert attrs["key"] == "k"
+        assert set(attrs) == {"key", "wall_time", "attempt", "detail"}
+        assert tracer.metrics()["runtime/task_finished"]["value"] == 1
 
 
 class TestReportTopAndIpc:

@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from repro import obs
+from repro.obs.report import runtime_summary
 from repro.runtime import (
     MISSING,
     ArtifactCache,
@@ -14,7 +16,6 @@ from repro.runtime import (
     TaskExecutionError,
     TaskExecutor,
     TaskTimeoutError,
-    Telemetry,
     WorkerCrashError,
     stable_hash,
 )
@@ -35,6 +36,11 @@ def _crash(x):
 
 def _sleep_forever(x):
     time.sleep(60)
+
+
+def _runtime_count(tracer, kind: str) -> int:
+    """How many ``runtime/<kind>`` events ``tracer`` counted."""
+    return int(tracer.metrics().get("runtime/" + kind, {}).get("value", 0))
 
 
 def _flaky_via_file(path, fail_times):
@@ -100,14 +106,14 @@ class TestExecutorInline:
         assert results[0].attempts == 3
 
     def test_exhausted_retries_fail(self):
-        telemetry = Telemetry()
-        executor = TaskExecutor(jobs=1, retries=1, backoff=0.0, telemetry=telemetry)
-        results = executor.run([Task("b", _boom, (1,))])
+        executor = TaskExecutor(jobs=1, retries=1, backoff=0.0)
+        with obs.tracing(obs.Tracer()) as tracer:
+            results = executor.run([Task("b", _boom, (1,))])
         assert not results[0].ok
         assert isinstance(results[0].error, TaskExecutionError)
         assert results[0].attempts == 2
-        assert telemetry.retried == 1
-        assert telemetry.failed == 1
+        assert _runtime_count(tracer, "task_retried") == 1
+        assert _runtime_count(tracer, "task_failed") == 1
 
     def test_duplicate_keys_rejected(self):
         executor = TaskExecutor(jobs=1)
@@ -136,11 +142,11 @@ class TestExecutorPool:
         assert results[0].attempts == 2
 
     def test_worker_crash_recovery(self):
-        telemetry = Telemetry()
-        executor = TaskExecutor(jobs=2, retries=1, backoff=0.01, telemetry=telemetry)
-        results = executor.run(
-            [Task("crash", _crash, (1,)), Task("ok", _double, (4,))]
-        )
+        executor = TaskExecutor(jobs=2, retries=1, backoff=0.01)
+        with obs.tracing(obs.Tracer()) as tracer:
+            results = executor.run(
+                [Task("crash", _crash, (1,)), Task("ok", _double, (4,))]
+            )
         by_key = {r.key: r for r in results}
         assert by_key["ok"].ok
         assert by_key["ok"].value == 8
@@ -149,7 +155,7 @@ class TestExecutorPool:
         assert not by_key["crash"].ok
         assert isinstance(by_key["crash"].error, WorkerCrashError)
         assert by_key["crash"].attempts == 2
-        assert telemetry.count("pool_restarted") >= 1
+        assert _runtime_count(tracer, "pool_restarted") >= 1
 
     def test_timeout_kills_hung_worker(self):
         executor = TaskExecutor(jobs=2, retries=0)
@@ -167,12 +173,12 @@ class TestExecutorPool:
         assert elapsed < 30  # nowhere near the 60s sleep
 
     def test_unpicklable_degrades_inline(self):
-        telemetry = Telemetry()
-        executor = TaskExecutor(jobs=2, telemetry=telemetry)
-        results = executor.run([Task("l", lambda: 99)])
+        executor = TaskExecutor(jobs=2)
+        with obs.tracing(obs.Tracer()) as tracer:
+            results = executor.run([Task("l", lambda: 99)])
         assert results[0].ok
         assert results[0].value == 99
-        assert telemetry.count("task_inline") == 1
+        assert _runtime_count(tracer, "task_inline") == 1
 
     def test_map_returns_values_and_raises_on_failure(self):
         executor = TaskExecutor(jobs=2)
@@ -388,32 +394,29 @@ class TestJournal:
         assert journal.records() == []
 
 
-class TestTelemetry:
-    def test_counters_and_summary(self):
-        from repro.runtime import CACHE_HIT, TASK_FINISHED, RunEvent
+class TestRuntimeEvents:
+    """Task and cache events land in the current tracer as
+    ``runtime/<kind>`` events and counters."""
 
-        telemetry = Telemetry()
-        telemetry.emit(RunEvent(kind=TASK_FINISHED, key="a", wall_time=1.5))
-        telemetry.emit(RunEvent(kind=CACHE_HIT, key="b"))
-        assert telemetry.finished == 1
-        assert telemetry.cache_hits == 1
-        assert telemetry.task_seconds == 1.5
-        assert "1 done" in telemetry.summary()
-        snap = telemetry.snapshot()
-        assert snap["counters"][TASK_FINISHED] == 1
-
-    def test_console_sink_filters(self, capsys):
-        import io
-
-        from repro.runtime import TASK_FINISHED, TASK_STARTED, RunEvent, console_sink
-
-        buf = io.StringIO()
-        sink = console_sink(stream=buf)
-        sink(RunEvent(kind=TASK_STARTED, key="a"))
-        sink(RunEvent(kind=TASK_FINISHED, key="a", wall_time=0.5))
-        out = buf.getvalue()
-        assert "task_started" not in out
-        assert "task_finished" in out
+    def test_counters_and_summary(self, tmp_path):
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        cache.put("b", 1)
+        with obs.tracing(obs.Tracer()) as tracer:
+            (result,) = TaskExecutor(jobs=1).run([Task("a", _double, (2,))])
+            assert cache.get("b") == 1
+        events = [r for r in tracer.ring if r["type"] == "event"]
+        assert [r["name"] for r in events] == [
+            "runtime/task_started", "runtime/task_finished", "runtime/cache_hit"
+        ]
+        finished = events[1]["attrs"]
+        assert finished["key"] == "a" and finished["attempt"] == 1
+        # The task's seconds ride on its finish event.
+        assert finished["wall_time"] == pytest.approx(result.wall_time, abs=1e-6)
+        assert _runtime_count(tracer, "task_finished") == 1
+        assert _runtime_count(tracer, "cache_hit") == 1
+        assert runtime_summary(tracer.metrics()) == (
+            "1 done, 0 failed, 0 retried, cache 1/1 hits"
+        )
 
 
 class TestBatchedMinimize:

@@ -11,7 +11,6 @@ them into the shard workers.
 """
 
 import asyncio
-import io
 import json
 import os
 import signal
@@ -21,7 +20,7 @@ import time
 import pytest
 
 from repro import api, obs
-from repro.serve.events import ProgressTracer, ProgressWriter, read_new_progress
+from repro.serve.events import ProgressTracer, progress_from_record, read_new_progress
 from repro.serve import (
     CANCELLED,
     DONE,
@@ -264,8 +263,7 @@ class TestProgressTracer:
 
     def test_only_progress_spans_reach_the_writer(self, tmp_path):
         path = str(tmp_path / "job.progress")
-        writer = ProgressWriter(path)
-        tracer = ProgressTracer(sinks=[writer])
+        tracer = ProgressTracer(sinks=[obs.JsonlSink(path)])
         with obs.tracing(tracer):
             with obs.span("flow/place"):
                 with obs.span("density/movable"):
@@ -278,7 +276,7 @@ class TestProgressTracer:
                 obs.counter("maze/calls").inc()
                 obs.histogram("gp/overflow").observe(0.5)
                 obs.event("runtime/task", key="k")
-        writer.close()
+        tracer.close()
         assert [r["name"] for r in tracer.ring] == ["gp/iteration"] * 3 + [
             "route/rrr_round"
         ]
@@ -287,11 +285,29 @@ class TestProgressTracer:
         assert [(p.stage, p.step) for p in samples] == [
             ("gp", 0), ("gp", 1), ("gp", 2), ("route", 0)
         ]
-        # Each line is byte for byte what the streaming encoder wrote.
+        assert samples == [progress_from_record(r) for r in tracer.ring]
+        assert samples[0].metrics == {"hpwl": 10.0, "overflow": 0.5}
+        # The file is the obs trace of the progress spans, one line each.
         with open(path) as f:
             lines = f.read().splitlines(keepends=True)
         assert offset == sum(len(line.encode()) for line in lines)
-        for line, sample in zip(lines, samples):
-            buf = io.StringIO()
-            json.dump(sample.to_dict(), buf, separators=(",", ":"))
-            assert line == buf.getvalue() + "\n"
+        assert len(lines) == len(tracer.ring)
+        for line, record in zip(lines, tracer.ring):
+            assert line == json.dumps(record, separators=(",", ":")) + "\n"
+
+    def test_reader_skips_garbage_and_waits_for_torn_lines(self, tmp_path):
+        path = tmp_path / "job.progress"
+        span = {"type": "span", "name": "gp/iteration", "attrs": {"i": 7, "hpwl": 2.0}}
+        path.write_text(
+            "not json\n[1]\n"
+            + json.dumps({"type": "event", "name": "gp/iteration"}) + "\n"
+            + json.dumps(span) + "\n" + json.dumps(span)[:10]
+        )
+        samples, offset = read_new_progress(str(path))
+        assert [(p.stage, p.step, p.metrics) for p in samples] == [
+            ("gp", 7, {"hpwl": 2.0})
+        ]
+        assert read_new_progress(str(path), offset) == ([], offset)
+        with open(path, "a") as f:
+            f.write(json.dumps(span)[10:] + "\n")
+        assert len(read_new_progress(str(path), offset)[0]) == 1

@@ -2,16 +2,28 @@
 
 import pytest
 
-from repro import api
+from repro import api, obs
 from repro.baselines import place_replace_like, place_wirelength_driven
 from repro.benchgen import make_design
 from repro.evalkit import SuiteRunConfig, run_suite
 from repro.evalkit.runner import suite_cell_key
 from repro.router import GlobalRouter
-from repro.runtime import Journal, Telemetry
+from repro.runtime import ArtifactCache, Journal
 
 SCALE = 0.0015
 BENCHMARKS = ["OR1200"]
+
+
+def traced_suite(*args, **kwargs):
+    """``(rows, tracer)`` of one :func:`run_suite` under its own tracer."""
+    with obs.tracing(obs.Tracer()) as tracer:
+        rows = run_suite(*args, **kwargs)
+    return rows, tracer
+
+
+def count(tracer, kind: str) -> int:
+    """How many ``runtime/<kind>`` events ``tracer`` counted."""
+    return int(tracer.metrics().get("runtime/" + kind, {}).get("value", 0))
 
 
 def deterministic_fields(row):
@@ -72,23 +84,20 @@ class TestParallelDeterminism:
         ]
 
     def test_lambda_flows_degrade_inline(self, config):
-        telemetry = Telemetry()
         flows = {"WL": lambda d, p: place_wirelength_driven(d, p)}
-        rows = run_suite(config, flows=flows, jobs=2, telemetry=telemetry)
+        rows, tracer = traced_suite(config, flows=flows, jobs=2)
         assert len(rows) == 1
-        assert telemetry.count("task_inline") == 1
+        assert count(tracer, "task_inline") == 1
 
 
 class TestCacheAndResume:
     def test_cache_rerun_skips_work(self, config, serial_rows, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        cold = Telemetry()
-        first = run_suite(config, cache=cache_dir, telemetry=cold)
-        assert cold.finished == len(first)
-        warm = Telemetry()
-        second = run_suite(config, cache=cache_dir, telemetry=warm)
-        assert warm.finished == 0
-        assert warm.cache_hits == len(first)
+        first, cold = traced_suite(config, cache=cache_dir)
+        assert count(cold, "task_finished") == len(first)
+        second, warm = traced_suite(config, cache=cache_dir)
+        assert count(warm, "task_finished") == 0
+        assert count(warm, "cache_hit") == len(first)
         assert [deterministic_fields(r) for r in second] == [
             deterministic_fields(r) for r in first
         ]
@@ -98,10 +107,9 @@ class TestCacheAndResume:
         flows = {"WL": place_wirelength_driven}
         run_suite(config, flows=flows, cache=cache_dir)
         other = SuiteRunConfig(scale=SCALE, benchmarks=BENCHMARKS, seed=5)
-        telemetry = Telemetry()
-        run_suite(other, flows=flows, cache=cache_dir, telemetry=telemetry)
-        assert telemetry.cache_hits == 0
-        assert telemetry.finished == 1
+        _rows, tracer = traced_suite(other, flows=flows, cache=cache_dir)
+        assert count(tracer, "cache_hit") == 0
+        assert count(tracer, "task_finished") == 1
 
     def test_resume_after_kill(self, config, serial_rows, tmp_path):
         """Simulate a mid-matrix kill by truncating the journal, then
@@ -115,12 +123,9 @@ class TestCacheAndResume:
         # Keep only the first record, as if the run died after one cell.
         journal.clear()
         journal.append(records[0])
-        telemetry = Telemetry()
-        resumed = run_suite(
-            config, journal=journal_path, resume=True, telemetry=telemetry
-        )
-        assert telemetry.count("journal_replayed") == 1
-        assert telemetry.finished == len(full) - 1
+        resumed, tracer = traced_suite(config, journal=journal_path, resume=True)
+        assert count(tracer, "journal_replayed") == 1
+        assert count(tracer, "task_finished") == len(full) - 1
         assert [deterministic_fields(r) for r in resumed] == [
             deterministic_fields(r) for r in full
         ]
@@ -132,8 +137,20 @@ class TestCacheAndResume:
         journal = Journal(journal_path)
         journal.append({"key": "stale", "row": {}})
         flows = {"WL": place_wirelength_driven}
-        telemetry = Telemetry()
-        run_suite(config, flows=flows, journal=journal_path, telemetry=telemetry)
-        assert telemetry.count("journal_replayed") == 0
+        _rows, tracer = traced_suite(config, flows=flows, journal=journal_path)
+        assert count(tracer, "journal_replayed") == 0
         keys = [r["key"] for r in Journal(journal_path).records()]
         assert "stale" not in keys
+
+    def test_shared_cache_object_counts_hits_per_run(self, config, tmp_path):
+        """Two runs on one cache object: each run's tracer sees its own
+        lookups, and the first run's counters stop at its end."""
+        flows = {"WL": place_wirelength_driven}
+        cache = ArtifactCache(str(tmp_path / "cache"))
+        rows, first = traced_suite(config, flows=flows, cache=cache)
+        before = first.metrics()
+        assert count(first, "cache_miss") == len(rows)
+        _rows, second = traced_suite(config, flows=flows, cache=cache)
+        assert count(second, "cache_hit") == len(rows)
+        assert count(second, "cache_miss") == 0
+        assert first.metrics() == before
