@@ -90,7 +90,7 @@ def bench_runner(request):
             "wirelength": wirelength, "runtime": 0.0, "rounds": 1,
             "num_segments": 1, "via_count": 1,
         },
-        "legal": True, "verify": None,
+        "verify": None,
     }
 
 

@@ -9,9 +9,9 @@ from repro.benchgen import make_design
 from repro.core import PufferPlacer
 from repro.dplace import DetailedPlacer
 from repro.legalizer import padded_widths
-from repro.netlist import check_legal
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
+from repro.verify import VerifyContext, run_checkers
 
 from conftest import save_artifact
 
@@ -51,7 +51,7 @@ def test_extension_detailed_placement(benchmark, scale, out_dir):
     print(text)
     save_artifact(out_dir, "ext_detailed_place.txt", text)
 
-    assert check_legal(design).ok
+    assert run_checkers(VerifyContext(design=design)).ok
     assert design.hpwl() <= hpwl_before + 1e-6
     # Detailed placement must not wreck routability.
     assert after_route.total_overflow <= before_route.total_overflow + 1.0

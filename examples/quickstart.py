@@ -15,9 +15,9 @@ from repro.baselines import place_wirelength_driven
 from repro.benchgen import make_design
 from repro.core import PufferPlacer
 from repro.evalkit import convergence_chart
-from repro.netlist import check_legal
 from repro.placer import PlacementParams
 from repro.router import GlobalRouter
+from repro.verify import VerifyContext, run_checkers
 
 
 def main() -> None:
@@ -39,7 +39,7 @@ def main() -> None:
     for event in result.events:
         print(f"  [{event.time:5.1f}s] {event.stage}: {event.detail}")
     report = GlobalRouter(design).run()
-    legality = check_legal(design)
+    legality = run_checkers(VerifyContext(design=design))
     print(f"legal: {legality.ok}")
     print(f"HPWL {result.hpwl:.4g}   {report.summary()}")
     print("\nengine convergence:")

@@ -39,7 +39,6 @@ from .baselines import (
 )
 from .benchgen import make_design
 from .core import PufferPlacer, StrategyParams
-from .netlist import check_legal
 from .netlist.design import Design
 from .placer import PlacementParams
 from .router import GlobalRouter, RouterParams
@@ -220,8 +219,6 @@ class RunResult:
         hpwl: post-flow half-perimeter wirelength.
         place_seconds: wall time of the flow call alone.
         route_report: router evaluation, when ``route=True``.
-        legality: :func:`repro.netlist.check_legal` report, when
-            ``verify_legal=True``.
         verify_report: :class:`repro.verify.VerifyReport` of the
             invariant checkers, when ``config.verify != "off"``.
     """
@@ -232,7 +229,6 @@ class RunResult:
     hpwl: float
     place_seconds: float
     route_report: object | None = None
-    legality: object | None = None
     verify_report: object | None = None
 
     def to_summary(self) -> dict:
@@ -247,7 +243,6 @@ class RunResult:
             "hpwl": float(self.hpwl),
             "place_seconds": float(self.place_seconds),
             "route": _route_report_summary(self.route_report),
-            "legal": None if self.legality is None else bool(self.legality.ok),
             "verify": None,
         }
         if self.verify_report is not None:
@@ -306,7 +301,6 @@ def run(
     *,
     trace=None,
     route: bool = False,
-    verify_legal: bool = False,
     verify: str | None = None,
 ) -> RunResult:
     """Place ``design`` with ``flow`` — the unified entry point.
@@ -323,7 +317,6 @@ def run(
             :class:`repro.obs.Tracer`; the whole run executes under
             :func:`repro.obs.tracing`.
         route: also evaluate the result with the global router.
-        verify_legal: also run the legality checker on the result.
         verify: invariant-checker level override; defaults to
             ``config.verify``.
 
@@ -350,7 +343,6 @@ def run(
             flow_result = flow_fn(design, config.placement)
             place_seconds = time.perf_counter() - start
             report = GlobalRouter(design, config.router).run() if route else None
-            legality = check_legal(design) if verify_legal else None
             verify_report = (
                 _verify_run(design, config, flow_result, report, verify)
                 if verify != "off"
@@ -366,7 +358,6 @@ def run(
         hpwl=design.hpwl(),
         place_seconds=place_seconds,
         route_report=report,
-        legality=legality,
         verify_report=verify_report,
     )
 
@@ -764,10 +755,9 @@ def explore(
             transfer priors use :func:`run_exploration` directly.)
 
     Returns:
-        The :class:`repro.core.exploration.ExplorationReport`.
+        The :class:`repro.core.exploration.ExplorationReport` of
+        :func:`run_exploration`.
     """
-    from .core.exploration import strategy_exploration
-
     if config is None:
         config = ExploreConfig(
             design=design,
@@ -776,17 +766,7 @@ def explore(
             seed=seed,
             batch_size=batch_size,
         )
-    with obs.tracing(trace):
-        return strategy_exploration(
-            config.objective(),
-            global_evals=config.budget,
-            group_evals=config.resolved_group_evals,
-            patience=config.resolved_patience,
-            max_group_rounds=config.max_group_rounds,
-            rng=config.seed,
-            batch_size=config.batch_size,
-            evaluator=evaluator,
-        )
+    return run_exploration(config, evaluator=evaluator, trace=trace).report
 
 
 __all__ = [

@@ -44,6 +44,7 @@ from . import api, obs
 from .benchgen import make_design, suite_names
 from .netlist import load_design, save_design
 from .placer import PlacementParams
+from .verify import VerifyContext, run_checkers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +327,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .netlist import CellLibrary, load_yosys, validate_design
+    from .netlist import CellLibrary, load_yosys
 
     library = CellLibrary.from_json(args.lib) if args.lib else None
     design = load_yosys(
@@ -343,8 +344,8 @@ def cmd_ingest(args) -> int:
         f"{design.num_nets} nets, {design.num_pins} pins"
     )
     print(f"die {die.xhi - die.xlo:g} x {die.yhi - die.ylo:g}")
-    report = validate_design(design)
-    print(report)
+    report = run_checkers(VerifyContext(design=design), names=["netlist/integrity"])
+    _print_verify("netlist", report)
     if args.out:
         save_design(design, args.out)
         print(f"saved to {args.out}")
@@ -364,25 +365,30 @@ def cmd_place(args) -> int:
         config=config,
         trace=args.trace,
         route=args.route,
-        verify_legal=True,
     )
-    print(f"{result.flow}: HPWL {result.hpwl:.6g}, legal={result.legality.ok}")
+    report = result.verify_report
+    if report is None:
+        report = run_checkers(VerifyContext(design=result.design), level="cheap")
+    legal = not any(v.checker.startswith("placement/") for v in report.errors)
+    print(f"{result.flow}: HPWL {result.hpwl:.6g}, legal={legal}")
     if args.route:
         print(result.route_report.summary())
-    verify_ok = True
     if result.verify_report is not None:
-        verify_ok = result.verify_report.ok
-        print(
-            f"verify[{args.verify}]: {len(result.verify_report.checkers_run)} "
-            f"checkers, {len(result.verify_report.errors)} errors, "
-            f"{len(result.verify_report.warnings)} warnings"
-        )
-        for violation in result.verify_report.violations:
-            print(f"  {violation}")
+        _print_verify(args.verify, report)
     if args.out:
         save_design(result.design, args.out)
         print(f"saved to {args.out}")
-    return 0 if result.legality.ok and verify_ok else 1
+    return 0 if legal and report.ok else 1
+
+
+def _print_verify(label: str, report) -> None:
+    """Print a :class:`repro.verify.VerifyReport` as ``verify[label]: ...``."""
+    print(
+        f"verify[{label}]: {len(report.checkers_run)} checkers, "
+        f"{len(report.errors)} errors, {len(report.warnings)} warnings"
+    )
+    for violation in report.violations:
+        print(f"  {violation}")
 
 
 def cmd_route(args) -> int:

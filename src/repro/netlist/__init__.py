@@ -19,7 +19,6 @@ from .transform import (
     mirror_horizontal,
     remove_cell,
 )
-from .validate import ValidationReport, check_legal, validate_design
 from .yosys import CellLibrary, load_yosys
 
 __all__ = [
@@ -33,10 +32,8 @@ __all__ = [
     "Rect",
     "Technology",
     "VERTICAL",
-    "ValidationReport",
     "add_cell",
     "bounding_box",
-    "check_legal",
     "clamp",
     "clone_design",
     "default_metal_stack",
@@ -47,5 +44,4 @@ __all__ = [
     "reduced_metal_stack",
     "remove_cell",
     "save_design",
-    "validate_design",
 ]

@@ -288,11 +288,6 @@ class GlobalPlacer:
                 )
                 overflow_hist.observe(self.overflow)
                 hpwl_hist.observe(self.hpwl)
-                if params.verbose and k % 25 == 0:
-                    print(
-                        f"  iter {k:4d}  hpwl {self.hpwl:.4g}  ovf {self.overflow:.4f}"
-                        f"  lambda {self.penalty_factor:.3g}"
-                    )
 
                 self._objective_changed = False
                 for hook in self.hooks:

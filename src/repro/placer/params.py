@@ -31,7 +31,6 @@ class PlacementParams:
         initial_placer: seed algorithm, ``"star"`` (damped fixed-point
             star model) or ``"quadratic"`` (sparse-CG quadratic solve).
         seed: RNG seed for the initial placement.
-        verbose: print per-iteration progress.
     """
 
     target_density: float = 0.9
@@ -46,7 +45,6 @@ class PlacementParams:
     initial_noise: float = 0.25
     initial_placer: str = "star"
     seed: int = 7
-    verbose: bool = False
 
     def to_dict(self) -> dict:
         """JSON-safe wire dict (see :mod:`repro.schema`)."""

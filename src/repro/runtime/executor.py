@@ -221,23 +221,6 @@ class TaskExecutor:
         """
         return self.run([task])[0]
 
-    def map(self, fn, items: list, key_prefix: str = "item") -> list:
-        """Apply ``fn`` to every item, preserving order; raise on failure.
-
-        A thin convenience for callers (batched exploration) that want
-        plain values back and treat any task failure as fatal.
-        """
-        tasks = [
-            Task(key=f"{key_prefix}-{i}", fn=fn, args=(item,))
-            for i, item in enumerate(items)
-        ]
-        out = []
-        for result in self.run(tasks):
-            if not result.ok:
-                raise result.error
-            out.append(result.value)
-        return out
-
     # ------------------------------------------------------------------
     # Inline path
     # ------------------------------------------------------------------

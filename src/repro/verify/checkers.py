@@ -304,9 +304,29 @@ def check_padding(ctx: VerifyContext) -> list:
 
 
 def check_netlist(ctx: VerifyContext) -> list:
-    """Netlist integrity: pin offsets, CSR structure, net degrees."""
+    """Netlist integrity: cell sizes, fixed-cell containment, pin offsets,
+    CSR structure, net degrees, floating cells and utilization."""
     design, tol = ctx.design, ctx.tolerance
+    if design.num_cells == 0:
+        return [
+            Violation(
+                checker="netlist/integrity",
+                severity="error",
+                message="design has no cells",
+            )
+        ]
     out: list = []
+    flat = (design.w <= 0) | (design.h <= 0)
+    if flat.any():
+        out.append(
+            Violation(
+                checker="netlist/integrity",
+                severity="error",
+                message="non-positive cell dimensions",
+                cells=_ids(np.flatnonzero(flat)),
+            )
+        )
+    out.extend(_fixed_outside_die(design, tol))
     p = design.num_pins
     if p:
         if (
@@ -364,6 +384,19 @@ def check_netlist(ctx: VerifyContext) -> list:
                     )
                 )
 
+        floating = np.flatnonzero(
+            design.movable & (np.bincount(design.pin_cell, minlength=design.num_cells) == 0)
+        )
+        if len(floating):
+            out.append(
+                Violation(
+                    checker="netlist/integrity",
+                    severity="warning",
+                    message=f"{len(floating)} movable cells with no pins",
+                    cells=_ids(floating),
+                )
+            )
+
     degrees = design.net_degrees()
     thin = degrees < 2
     if thin.any():
@@ -377,7 +410,69 @@ def check_netlist(ctx: VerifyContext) -> list:
                 allowed=2.0,
             )
         )
+
+    util = design.movable_area / max(_free_area(design), 1e-12)
+    if util > 0.95:
+        over = util > 1.0
+        out.append(
+            Violation(
+                checker="netlist/integrity",
+                severity="error" if over else "warning",
+                message=(
+                    f"movable area exceeds free die area (util={util:.3f})"
+                    if over
+                    else f"very high utilization {util:.3f}"
+                ),
+                measured=float(util),
+                allowed=1.0 if over else 0.95,
+            )
+        )
     return out
+
+
+def _fixed_outside_die(design: Design, tol: float) -> list:
+    """Fixed cells whose outline leaves the die."""
+    fixed = np.flatnonzero(~design.movable)
+    if len(fixed) == 0:
+        return []
+    die = design.die
+    half_w = design.w[fixed] / 2
+    half_h = design.h[fixed] / 2
+    outside = (
+        (design.x[fixed] - half_w < die.xlo - tol)
+        | (design.y[fixed] - half_h < die.ylo - tol)
+        | (design.x[fixed] + half_w > die.xhi + tol)
+        | (design.y[fixed] + half_h > die.yhi + tol)
+    )
+    if not outside.any():
+        return []
+    return [
+        Violation(
+            checker="netlist/integrity",
+            severity="error",
+            message=f"{int(outside.sum())} fixed cells extend outside the die",
+            cells=_ids(fixed[outside]),
+        )
+    ]
+
+
+def _free_area(design: Design) -> float:
+    """Die area minus the area of fixed objects (approximate: no dedup).
+
+    Subtracts fixed-cell area plus the die-clipped area of placement
+    blockages — blockages on layers below ``routing_layers_start``
+    obstruct placement sites, not just routing tracks — so the
+    utilization check fires on blockage-heavy designs.
+    """
+    area = design.die.area
+    fixed = ~design.movable
+    if fixed.any():
+        area -= float((design.w[fixed] * design.h[fixed]).sum())
+    routing_start = design.technology.routing_layers_start
+    for blk in design.blockages:
+        if blk.layer < routing_start:
+            area -= blk.rect.overlap_area(design.die)
+    return area
 
 
 def check_routing(ctx: VerifyContext) -> list:

@@ -63,17 +63,17 @@ class TestRun:
         assert result.hpwl > 0
         assert result.place_seconds > 0
         assert result.route_report is None
-        assert result.legality is None
+        assert result.verify_report is None
 
     def test_run_with_route_and_legality(self):
         result = api.run(
             "OR1200",
-            config=api.RunConfig(scale=0.002),
+            config=api.RunConfig(scale=0.002, verify="cheap"),
             route=True,
-            verify_legal=True,
         )
         assert result.route_report.wirelength > 0
-        assert result.legality.ok
+        assert result.verify_report.ok
+        assert "placement/overlap" in result.verify_report.checkers_run
 
     def test_run_accepts_design_instance(self):
         from repro.benchgen import make_design
@@ -143,15 +143,15 @@ class TestRunSummary:
     def test_run_summary_is_json_safe(self):
         import json
 
-        result = api.run(
-            "OR1200", config=api.RunConfig(scale=0.002), verify_legal=True
-        )
+        result = api.run("OR1200", config=api.RunConfig(scale=0.002))
         summary = result.to_summary()
         json.dumps(summary)
+        assert set(summary) == {
+            "design", "flow", "hpwl", "place_seconds", "route", "verify",
+        }
         assert summary["design"] == "OR1200"
         assert summary["flow"] == "puffer"
         assert summary["hpwl"] == pytest.approx(result.hpwl)
-        assert summary["legal"] is True
         assert summary["route"] is None
         assert summary["verify"] is None
 
@@ -165,13 +165,17 @@ class TestExploreSeedNaming:
 
         def fake_exploration(objective, **kwargs):
             calls.update(kwargs)
-            return "report"
+            calls["report"] = exploration.ExplorationReport(
+                params=StrategyParams(), best_loss=0.0, best_params={},
+                evaluations=0, space=kwargs["space"], group_rounds=0,
+            )
+            return calls["report"]
 
         monkeypatch.setattr(exploration, "strategy_exploration", fake_exploration)
         return calls
 
     def test_seed_keyword_threads_through(self, capture_exploration):
-        assert api.explore("OR1200", seed=11) == "report"
+        assert api.explore("OR1200", seed=11) is capture_exploration["report"]
         assert capture_exploration["rng"] == 11
 
     def test_rng_keyword_is_a_type_error(self, capture_exploration):

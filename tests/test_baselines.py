@@ -9,9 +9,9 @@ from repro.baselines import (
     place_replace_like,
     place_wirelength_driven,
 )
-from repro.netlist import check_legal
 from repro.placer import PlacementParams
 from repro.router import RouterParams
+from repro.verify import VerifyContext, run_checkers
 
 FAST = PlacementParams(max_iters=300)
 
@@ -19,7 +19,7 @@ FAST = PlacementParams(max_iters=300)
 class TestWirelengthDriven:
     def test_legal_result(self, small_design):
         result = place_wirelength_driven(small_design, FAST)
-        assert check_legal(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design)).ok
         assert result.placer == "wirelength"
         assert result.hpwl > 0
         assert result.inflation_rounds == 0
@@ -28,7 +28,7 @@ class TestWirelengthDriven:
 class TestReplaceLike:
     def test_legal_result_and_inflation(self, small_design):
         result = place_replace_like(small_design, FAST)
-        assert check_legal(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design)).ok
         assert result.placer == "replace_like"
         assert 0 <= result.inflation_rounds <= ReplaceLikeParams().rounds
         assert result.notes["mean_inflation"] >= 1.0
@@ -37,7 +37,7 @@ class TestReplaceLike:
         params = ReplaceLikeParams(area_budget=0.01, rounds=1)
         place_replace_like(small_design, FAST, params)
         # With a tiny budget the flow must still finish legally.
-        assert check_legal(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design)).ok
 
     def test_zero_rounds_equals_wirelength_flow(self, small_spec):
         from repro.benchgen import generate_design
@@ -56,7 +56,7 @@ class TestCommercialLike:
             rounds=1, router=RouterParams(rrr_rounds=0)
         )
         result = place_commercial_like(small_design, FAST, params)
-        assert check_legal(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design)).ok
         assert result.placer == "commercial_like"
         assert result.inflation_rounds >= 0
 

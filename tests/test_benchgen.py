@@ -12,7 +12,7 @@ from repro.benchgen import (
     suite_names,
 )
 from repro.benchgen.suite import env_scale
-from repro.netlist import validate_design
+from repro.verify import VerifyContext, run_checkers
 
 
 class TestGenerator:
@@ -44,7 +44,7 @@ class TestGenerator:
         assert mean == pytest.approx(small_spec.pins_per_net, rel=0.15)
 
     def test_validates(self, small_design):
-        assert validate_design(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design), names=["netlist/integrity"]).ok
 
     def test_utilization_near_target(self, small_design, small_spec):
         fixed = ~small_design.movable
@@ -114,7 +114,7 @@ class TestSuite:
     def test_make_design_small_scale(self):
         d = make_design("ASIC_ENTITY", scale=0.002)
         assert d.name == "ASIC_ENTITY"
-        assert validate_design(d).ok
+        assert run_checkers(VerifyContext(design=d), names=["netlist/integrity"]).ok
 
     def test_pins_per_net_from_table(self):
         entry = next(e for e in SUITE if e.name == "CT_TOP")

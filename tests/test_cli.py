@@ -182,6 +182,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "verify[cheap]" in out
         assert "0 errors" in out
+        assert "legal=True" in out
+
+    @pytest.mark.parametrize("verify", ["off", "cheap"])
+    def test_place_reports_illegal_result(self, verify, monkeypatch, capsys):
+        # A "flow" that never moves a cell leaves the generated, unplaced
+        # positions: legal=False and exit 1, with or without --verify.
+        from repro import api
+
+        monkeypatch.setitem(api._FLOW_IMPLS, "wirelength", lambda design, placement: None)
+        code = run_cli(
+            "place", "OR1200", "--scale", "0.002", "--flow", "wirelength",
+            "--verify", verify,
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "legal=False" in out
+        assert ("verify[cheap]" in out) == (verify == "cheap")
 
     def test_suite_subset(self, capsys):
         code = run_cli("suite", "--scale", "0.002", "--designs", "OR1200")

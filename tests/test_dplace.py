@@ -10,8 +10,8 @@ from repro.dplace import (
     optimal_position,
 )
 from repro.legalizer import legalize_abacus
-from repro.netlist import check_legal
 from repro.placer import GlobalPlacer, PlacementParams
+from repro.verify import VerifyContext, run_checkers
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ class TestDetailedPlacer:
 
     def test_preserves_legality(self, legal_design):
         DetailedPlacer(legal_design).run(passes=2)
-        assert check_legal(legal_design).ok
+        assert run_checkers(VerifyContext(design=legal_design)).ok
 
     def test_result_consistent_with_design(self, legal_design):
         result = DetailedPlacer(legal_design).run(passes=1)
@@ -151,7 +151,7 @@ class TestDetailedPlacer:
         widths[np.flatnonzero(movable)[::4]] += 2.0
         legalize_abacus(legal_design, widths=widths)
         DetailedPlacer(legal_design, widths=widths).run(passes=1)
-        assert check_legal(legal_design).ok
+        assert run_checkers(VerifyContext(design=legal_design)).ok
 
 
 class TestNetBoxVectorization:

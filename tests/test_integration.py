@@ -6,9 +6,10 @@ import pytest
 from repro.benchgen import generate_design, make_design
 from repro.core import PufferPlacer, StrategyParams
 from repro.legalizer import legalize_abacus
-from repro.netlist import check_legal, load_design, save_design
+from repro.netlist import load_design, save_design
 from repro.placer import GlobalPlacer, PlacementParams
 from repro.router import GlobalRouter
+from repro.verify import VerifyContext, run_checkers
 
 
 class TestFullPipeline:
@@ -17,7 +18,7 @@ class TestFullPipeline:
         gp = GlobalPlacer(design, PlacementParams(max_iters=400)).run()
         assert gp.converged
         legalize_abacus(design)
-        assert check_legal(design).ok
+        assert run_checkers(VerifyContext(design=design)).ok
         report = GlobalRouter(design).run()
         assert report.wirelength > 0
 

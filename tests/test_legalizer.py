@@ -11,8 +11,9 @@ from repro.legalizer import (
     legalize_abacus,
     legalize_tetris,
 )
-from repro.netlist import DesignBuilder, Rect, Technology, check_legal
+from repro.netlist import DesignBuilder, Rect, Technology
 from repro.placer import GlobalPlacer, PlacementParams
+from repro.verify import VerifyContext, run_checkers
 
 from .legalizer_oracle import build_segments_rects
 
@@ -93,7 +94,7 @@ def placed(small_design):
 class TestAbacus:
     def test_produces_legal_placement(self, placed):
         legalize_abacus(placed)
-        assert check_legal(placed).ok
+        assert run_checkers(VerifyContext(design=placed)).ok
 
     def test_small_hpwl_degradation(self, placed):
         before = placed.hpwl()
@@ -114,7 +115,7 @@ class TestAbacus:
         padded = np.flatnonzero(movable)[::3]  # pad a third of the cells
         widths[padded] += 2.0
         legalize_abacus(placed, widths=widths)
-        assert check_legal(placed).ok
+        assert run_checkers(VerifyContext(design=placed)).ok
         # A padded cell's footprint must not overlap any neighbour: its
         # neighbours in the same row stay at least 2 units of air away
         # from the padded outline on the two sides combined.
@@ -156,7 +157,7 @@ class TestAbacus:
             int(c): index.nearest_row(d.y[c] - d.h[c] / 2) for c in movable
         }
         legalize_abacus(d, max_row_search=0)
-        assert check_legal(d).ok
+        assert run_checkers(VerifyContext(design=d)).ok
         for c in movable:
             assert index.nearest_row(d.y[c] - d.h[c] / 2) == home[int(c)]
 
@@ -174,7 +175,7 @@ class TestAbacus:
             legalize_abacus(overfull(), max_row_search=0)
         d = overfull()
         legalize_abacus(d)  # unrestricted search spills to row 1
-        assert check_legal(d).ok
+        assert run_checkers(VerifyContext(design=d)).ok
 
     def test_max_row_search_radius_is_inclusive(self, placed):
         # A cap of r may move a cell at most r rows from its home row.
@@ -197,7 +198,7 @@ class TestAbacus:
 class TestTetris:
     def test_produces_legal_placement(self, placed):
         legalize_tetris(placed)
-        assert check_legal(placed).ok
+        assert run_checkers(VerifyContext(design=placed)).ok
 
     def test_worse_or_equal_to_abacus(self, small_design):
         GlobalPlacer(small_design, PlacementParams(max_iters=300)).run()
@@ -212,4 +213,4 @@ class TestTetris:
         movable = placed.movable & ~placed.is_macro
         widths[movable] += 1.0
         legalize_tetris(placed, widths=widths)
-        assert check_legal(placed).ok
+        assert run_checkers(VerifyContext(design=placed)).ok

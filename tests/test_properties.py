@@ -9,8 +9,9 @@ from repro.benchgen import GeneratorSpec, generate_design
 from repro.core import PaddingEngine, StrategyParams, combine_congestion
 from repro.core.features import FEATURE_NAMES, FeatureSet
 from repro.legalizer import discretize_padding, legalize_abacus
-from repro.netlist import DesignBuilder, Rect, Technology, check_legal, validate_design
+from repro.netlist import DesignBuilder, Rect, Technology
 from repro.placer import WirelengthModel
+from repro.verify import VerifyContext, run_checkers
 
 slow_settings = settings(
     max_examples=10,
@@ -40,7 +41,7 @@ class TestGeneratorProperties:
             seed=seed,
         )
         design = generate_design(spec)
-        assert validate_design(design).ok
+        assert run_checkers(VerifyContext(design=design), names=["netlist/integrity"]).ok
 
     @given(seed=st.integers(0, 10_000))
     @slow_settings
@@ -58,7 +59,7 @@ class TestGeneratorProperties:
         design = generate_design(spec)
         # Legalize straight from the (centered) initial positions.
         legalize_abacus(design)
-        assert check_legal(design).ok
+        assert run_checkers(VerifyContext(design=design)).ok
 
 
 def single_net_wa(coords, gamma):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import PufferPlacer, RoutabilityOptimizer, StrategyParams
-from repro.netlist import check_legal
 from repro.placer import PlacementParams
+from repro.verify import VerifyContext, run_checkers
 
 
 class FakeState:
@@ -75,7 +75,7 @@ class TestPufferFlow:
 
     def test_final_placement_legal(self, result_and_design):
         _, design, _ = result_and_design
-        assert check_legal(design).ok
+        assert run_checkers(VerifyContext(design=design)).ok
 
     def test_rounds_ran(self, result_and_design):
         result, _, _ = result_and_design
@@ -103,4 +103,4 @@ class TestPufferFlow:
         result = PufferPlacer(
             small_design, strategy=strategy, placement=PlacementParams(max_iters=300)
         ).run()
-        assert check_legal(small_design).ok
+        assert run_checkers(VerifyContext(design=small_design)).ok

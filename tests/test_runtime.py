@@ -180,12 +180,6 @@ class TestExecutorPool:
         assert results[0].value == 99
         assert _runtime_count(tracer, "task_inline") == 1
 
-    def test_map_returns_values_and_raises_on_failure(self):
-        executor = TaskExecutor(jobs=2)
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-        with pytest.raises(TaskExecutionError):
-            executor.map(_boom, [1])
-
 
 def _pid(x=None):
     return os.getpid()

@@ -42,7 +42,6 @@ placement_params = st.builds(
     initial_noise=st.floats(0.0, 2.0),
     initial_placer=st.sampled_from(["star", "quadratic"]),
     seed=st.integers(0, 2**31),
-    verbose=st.booleans(),
 )
 
 router_params = st.builds(

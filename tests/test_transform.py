@@ -8,8 +8,8 @@ from repro.netlist import (
     clone_design,
     extract_window,
     mirror_horizontal,
-    validate_design,
 )
+from repro.verify import VerifyContext, run_checkers
 
 
 class TestClone:
@@ -57,7 +57,7 @@ class TestExtractWindow:
         sub = extract_window(placed_small_design, window)
         assert 0 < sub.num_cells < placed_small_design.num_cells
         assert sub.die == window
-        assert validate_design(sub).ok
+        assert run_checkers(VerifyContext(design=sub), names=["netlist/integrity"]).ok
 
     def test_positions_preserved(self, placed_small_design):
         die = placed_small_design.die

@@ -5,6 +5,7 @@ import pytest
 
 from repro import api, obs
 from repro.legalizer import legalize_abacus, padded_widths
+from repro.netlist import DesignBuilder, Rect, Technology
 from repro.obs import Tracer
 from repro.verify import (
     CHECKERS,
@@ -19,6 +20,21 @@ from repro.verify import (
     checkers_for,
     run_checkers,
 )
+
+
+def build(cells, die=64.0, fixed=None):
+    """cells: list of (x, y, w) placements; fixed: (x, y, w, h) fixed cells."""
+    tech = Technology()
+    b = DesignBuilder("v", tech, Rect(0, 0, die, die))
+    for i, (x, y, w) in enumerate(cells):
+        b.add_cell(f"c{i}", w, tech.row_height, x=x, y=y)
+    for i, (x, y, w, h) in enumerate(fixed or []):
+        b.add_cell(f"f{i}", w, h, x=x, y=y, movable=False)
+    return b.build()
+
+
+def messages(found, severity):
+    return [v.message for v in found if v.severity == severity]
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +119,16 @@ class TestVerifyReport:
         assert d["ok"] is True
         assert d["checkers_run"] == ["c"]
         assert d["num_errors"] == 0 and d["num_warnings"] == 0
+
+    def test_report_str(self):
+        report = VerifyReport(
+            violations=[Violation(checker="c", severity="warning", message="m")],
+            checkers_run=["c"],
+        )
+        assert str(report).splitlines() == [
+            "verify: 1 checkers, 0 errors, 1 warnings",
+            "  [warning] c: m",
+        ]
 
     def test_verification_error_carries_context(self):
         report = VerifyReport()
@@ -194,6 +220,45 @@ class TestPlacementCheckers:
         found = check_overlaps(VerifyContext(design=legal_design))
         assert found and "truncated" in found[0].message
 
+    def test_abutting_cells_are_legal(self):
+        # Two cells abutting in row 0 (bottoms at y=0, centers at 4).
+        assert run_checkers(VerifyContext(design=build([(1, 4, 2), (3, 4, 2)]))).ok
+
+    def test_same_x_different_rows_not_an_overlap(self):
+        d = build([(1, 4, 2), (1, 12, 2)])
+        assert check_overlaps(VerifyContext(design=d)) == []
+
+    def test_overlap_with_sub_tolerance_y_jitter(self):
+        # Overlapping cells whose bottoms differ by 1e-9 share one row;
+        # grouping rows by exact bottom y would miss the overlap.
+        d = build([(1.0, 4, 2), (2.0, 4 + 1e-9, 2)])
+        found = check_overlaps(VerifyContext(design=d))
+        assert found and set(found[0].cells) == {0, 1}
+
+    def test_cell_on_fixed_object_overlaps(self):
+        d = build([(10, 12, 2)], fixed=[(10, 12, 8, 8)])
+        found = check_overlaps(VerifyContext(design=d))
+        assert found and set(found[0].cells) == {0, 1}
+
+    def test_cell_past_die_edge_escapes(self):
+        report = run_checkers(VerifyContext(design=build([(63.5, 4, 2)])))
+        assert any(
+            v.checker == "placement/containment" and 0 in v.cells
+            for v in report.errors
+        )
+
+    def test_partly_overlapping_neighbours_overlap(self):
+        found = check_overlaps(VerifyContext(design=build([(1.0, 4, 2), (2.0, 4, 2)])))
+        assert found and set(found[0].cells) == {0, 1}
+
+    def test_half_row_offset_misaligns(self):
+        report = run_checkers(VerifyContext(design=build([(1, 5.5, 2)])))
+        assert [v.checker for v in report.errors] == ["placement/row_alignment"]
+
+    def test_fractional_site_offset_misaligns(self):
+        report = run_checkers(VerifyContext(design=build([(1.3, 4, 2)])))
+        assert [v.checker for v in report.errors] == ["placement/site_alignment"]
+
 
 class TestPaddingChecker:
     def test_skipped_without_widths(self, legal_design):
@@ -268,6 +333,14 @@ class TestNetlistChecker:
         found = check_netlist(VerifyContext(design=small_design))
         assert [v for v in found if v.severity == "error"] == []
 
+    def test_connected_hand_built_design_is_clean(self):
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 64, 64))
+        net = b.add_net("n0")
+        for i in range(2):
+            b.add_pin(b.add_cell(f"c{i}", 2, tech.row_height), net)
+        assert check_netlist(VerifyContext(design=b.build())) == []
+
     def test_dangling_pin_reference(self, small_design):
         small_design.pin_cell[0] = small_design.num_cells + 5
         found = check_netlist(VerifyContext(design=small_design))
@@ -286,6 +359,84 @@ class TestNetlistChecker:
         small_design.pin_net[pin] = (original + 1) % small_design.num_nets
         found = check_netlist(VerifyContext(design=small_design))
         assert any("disagrees with the net CSR" in v.message for v in found)
+
+    def test_thin_net_warns(self):
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 64, 64))
+        b.add_pin(b.add_cell("c0", 2, 8), b.add_net("n0"))
+        found = check_netlist(VerifyContext(design=b.build()))
+        assert messages(found, "error") == []
+        assert "1 nets with fewer than two pins" in messages(found, "warning")
+
+    def test_no_cells_is_error(self):
+        d = DesignBuilder("v", Technology(), Rect(0, 0, 64, 64)).build()
+        found = check_netlist(VerifyContext(design=d))
+        assert messages(found, "error") == ["design has no cells"]
+
+    def test_non_positive_dimensions_is_error(self, small_design):
+        cell = int(np.flatnonzero(small_design.movable)[0])
+        small_design.w[cell] = 0.0
+        found = check_netlist(VerifyContext(design=small_design))
+        assert "non-positive cell dimensions" in messages(found, "error")
+
+    def test_fixed_cell_outside_die_is_error(self):
+        d = build([(10, 12, 2)], fixed=[(63.5, 10, 4, 8)])
+        found = check_netlist(VerifyContext(design=d))
+        assert "1 fixed cells extend outside the die" in messages(found, "error")
+
+    def test_floating_movable_cell_warns(self):
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 64, 64))
+        net = b.add_net("n0")
+        b.add_pin(b.add_cell("c0", 2, 8), net)
+        b.add_pin(b.add_cell("c1", 2, 8), net)
+        b.add_cell("c2", 2, 8)
+        b.add_cell("f0", 2, 8, movable=False)
+        found = check_netlist(VerifyContext(design=b.build()))
+        assert messages(found, "warning") == ["1 movable cells with no pins"]
+
+    def test_over_utilization_is_error(self):
+        d = build([(8 * i + 4, 4, 8) for i in range(70)], die=16.0)
+        found = check_netlist(VerifyContext(design=d))
+        assert "movable area exceeds free die area (util=17.500)" in messages(
+            found, "error"
+        )
+
+    def test_high_utilization_warns(self):
+        # 31 one-site cells on a 32-site die: util 0.969, usable but suspicious.
+        d = build([(4, 4, 1)] * 31, die=16.0)
+        found = check_netlist(VerifyContext(design=d))
+        assert messages(found, "error") == []
+        assert "very high utilization 0.969" in messages(found, "warning")
+
+    def test_placement_blockage_counts_against_free_area(self):
+        # Movable area (192) fits the bare die (256) but not the half
+        # left free by a layer-0 (below routing_layers_start) blockage.
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 16, 16))
+        for i in range(3):
+            b.add_cell(f"c{i}", 8, tech.row_height)
+        b.add_blockage(Rect(0, 8, 16, 16), layer=0)
+        found = check_netlist(VerifyContext(design=b.build()))
+        assert any("exceeds free die area" in m for m in messages(found, "error"))
+
+    def test_routing_blockage_does_not_reduce_free_area(self):
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 16, 16))
+        for i in range(3):
+            b.add_cell(f"c{i}", 8, tech.row_height)
+        b.add_blockage(Rect(0, 8, 16, 16), layer=tech.routing_layers_start)
+        assert check_netlist(VerifyContext(design=b.build())) == []
+
+    def test_blockage_area_clipped_to_die(self):
+        # A placement blockage hanging past the die edge only counts its
+        # in-die part (128 of 768); movable area 96 still fits the rest.
+        tech = Technology()
+        b = DesignBuilder("v", tech, Rect(0, 0, 16, 16))
+        for i in range(3):
+            b.add_cell(f"c{i}", 4, tech.row_height)
+        b.add_blockage(Rect(-16, 8, 32, 24), layer=0)
+        assert check_netlist(VerifyContext(design=b.build())) == []
 
 
 class TestRoutingChecker:

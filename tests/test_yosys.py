@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.netlist import CellLibrary, load_yosys, validate_design
+from repro.netlist import CellLibrary, load_yosys
+from repro.verify import VerifyContext, check_netlist
 
 
 def _write(tmp_path, data, name="mapped.json"):
@@ -94,8 +95,8 @@ class TestLoadYosys:
         assert design.num_nets == 5
         assert set(design.net_names) == {"clk", "d", "ff0_q", "inv_y", "q"}
         # Terminals are fixed, on the boundary, inside the die.
-        report = validate_design(design)
-        assert not report.errors
+        found = check_netlist(VerifyContext(design=design))
+        assert [v for v in found if v.severity == "error"] == []
 
     def test_cell_sizes_from_library(self, tmp_path):
         path = _write(tmp_path, {"modules": {"tiny": _tiny_module()}})
